@@ -52,7 +52,7 @@ from common import write_bench  # noqa: E402
 from repro.core.session import CompilationSession  # noqa: E402
 from repro.designs import addmult_program  # noqa: E402
 from repro.designs.golden import addmult as addmult_golden  # noqa: E402
-from repro.harness import harness_for  # noqa: E402
+from repro.harness import harness_for, random_columns  # noqa: E402
 from repro.harness.fuzz import random_transactions  # noqa: E402
 from repro.sim import compiler_available, is_x  # noqa: E402
 
@@ -101,15 +101,17 @@ def _measure_point(harness, mode: str, lanes: int, transactions: int,
         if mode == "native":
             if not simulator.native_active():
                 return None
-            total, columns, starts = harness._schedule_columns(stream)
+            total, columns, starts = harness._schedule_columns(
+                random_columns(harness, transactions, seed=7))
             run = lambda: simulator.run_columns(total, columns)  # noqa: E731
-            capture = lambda out: harness._capture_columns(  # noqa: E731
-                out, total, starts, stream)
+            capture = lambda out: harness._capture(  # noqa: E731
+                out, total, starts).results(stream)
         else:
             stimulus, starts = harness._schedule(stream)
             run = lambda: simulator.run_batch(stimulus)  # noqa: E731
             capture = lambda trace: harness._capture(  # noqa: E731
-                trace, starts, stream)
+                harness._trace_columns(trace), len(trace),
+                starts).results(stream)
         best = None
         for _ in range(repeats + 1):
             simulator.reset()
@@ -133,7 +135,8 @@ def _measure_point(harness, mode: str, lanes: int, transactions: int,
         rate = transactions * lanes / elapsed
         best = rate if best is None else max(best, rate)
     for trace, (_, starts), stream in zip(traces, schedules, streams):
-        _check_golden(harness._capture(trace, starts, stream))
+        _check_golden(harness._capture(harness._trace_columns(trace),
+                                       len(trace), starts).results(stream))
     return best
 
 

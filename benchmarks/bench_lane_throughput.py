@@ -56,7 +56,11 @@ from common import write_bench  # noqa: E402
 from repro.core.session import CompilationSession  # noqa: E402
 from repro.designs import addmult_program  # noqa: E402
 from repro.designs.golden import addmult as addmult_golden  # noqa: E402
-from repro.harness import harness_for, random_transactions  # noqa: E402
+from repro.harness import (  # noqa: E402
+    harness_for,
+    random_columns,
+    random_transactions,
+)
 from repro.sim import compiler_available, is_x  # noqa: E402
 
 LANE_POINTS = (1, 8, 64)
@@ -117,8 +121,9 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
     if engine == "native":
         if not simulator.native_active():
             return None
-        schedules = [harness._schedule_columns(stream)
-                     for stream in streams]
+        schedules = [harness._schedule_columns(
+            random_columns(harness, transactions, seed=7 + lane))
+            for lane in range(lanes)]
         if lanes == 1:
             total, columns, starts = schedules[0]
             best = None
@@ -129,8 +134,8 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
                 elapsed = time.perf_counter() - begin
                 rate = transactions / elapsed
                 best = rate if best is None else max(best, rate)
-            _check_golden(harness._capture_columns(out, total, starts,
-                                                   streams[0]))
+            _check_golden(harness._capture(out, total, starts)
+                          .results(streams[0]))
             return best
         total, merged = _merge_lane_columns(schedules, lanes)
         best = None
@@ -142,10 +147,8 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
             best = rate if best is None else max(best, rate)
         for lane, ((lane_total, _, starts), stream) in enumerate(
                 zip(schedules, streams)):
-            lane_out = {name: (vals[lane::lanes], xfl[lane::lanes])
-                        for name, (vals, xfl) in out.items()}
-            _check_golden(harness._capture_columns(lane_out, lane_total,
-                                                   starts, stream))
+            _check_golden(harness._capture(out, lane_total, starts, lane,
+                                           lanes).results(stream))
         return best
 
     if lanes == 1:
@@ -158,7 +161,9 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
             elapsed = time.perf_counter() - begin
             rate = transactions / elapsed
             best = rate if best is None else max(best, rate)
-        _check_golden(harness._capture(trace, starts, streams[0]))
+        _check_golden(harness._capture(harness._trace_columns(trace),
+                                       len(trace), starts)
+                      .results(streams[0]))
         return best
     schedules = [harness._schedule(stream) for stream in streams]
     batches = [stimulus for stimulus, _ in schedules]
@@ -170,7 +175,8 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
         rate = transactions * lanes / elapsed
         best = rate if best is None else max(best, rate)
     for trace, (_, starts), stream in zip(traces, schedules, streams):
-        _check_golden(harness._capture(trace, starts, stream))
+        _check_golden(harness._capture(harness._trace_columns(trace),
+                                       len(trace), starts).results(stream))
     return best
 
 

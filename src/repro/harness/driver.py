@@ -22,7 +22,8 @@ held, and reports both next to the claimed interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..calyx.ir import CalyxProgram
 from ..core.ast import Program
@@ -35,6 +36,8 @@ from .spec import InterfaceSpec, spec_from_signature
 __all__ = [
     "Transaction",
     "TransactionResult",
+    "StimulusColumns",
+    "ResultColumns",
     "HarnessReport",
     "CycleAccurateHarness",
     "harness_for",
@@ -57,6 +60,84 @@ class TransactionResult:
 
     def output(self, name: str) -> Value:
         return self.outputs.get(name, X)
+
+
+@dataclass
+class StimulusColumns:
+    """Input values for ``count`` transactions, one column per driven data
+    input port: ``columns[name][i]`` drives ``name`` in transaction ``i``.
+    ``None`` leaves the port undriven (X) for that transaction, and a port
+    absent from ``columns`` stays undriven throughout.
+
+    ``concrete`` promises that no column holds ``None`` or X, so the
+    scheduler writes each window as strided slices without scanning the
+    values (random stimulus is concrete by construction)."""
+
+    count: int
+    columns: Dict[str, List[Value]]
+    concrete: bool = False
+
+    @classmethod
+    def from_transactions(cls, spec: InterfaceSpec,
+                          transactions: Sequence[Transaction]
+                          ) -> "StimulusColumns":
+        return cls(len(transactions), {
+            port.name: [transaction.get(port.name)
+                        for transaction in transactions]
+            for port in spec.inputs})
+
+
+@dataclass
+class ResultColumns:
+    """Captured outputs of one transaction stream, kept columnar.
+
+    ``columns[name] = (values, xflags)`` for every output port of the
+    spec: entry ``i`` is transaction ``i``'s value at its capture cycle,
+    and a nonzero xflag means X (the value entry is then meaningless).
+    ``starts[i]`` is transaction ``i``'s start cycle.  Nothing is built
+    per transaction until :meth:`results` asks for it."""
+
+    starts: List[int]
+    columns: Dict[str, Tuple[Sequence[Value], Sequence[int]]]
+
+    def output(self, index: int, name: str) -> Value:
+        column = self.columns.get(name)
+        if column is None or column[1][index]:
+            return X
+        return column[0][index]
+
+    def results(self, transactions: Sequence[Transaction]
+                ) -> List[TransactionResult]:
+        """One :class:`TransactionResult` per transaction, its ``inputs`` a
+        copy of the matching entry of ``transactions``."""
+        reads = [(name, values, xflags)
+                 for name, (values, xflags) in self.columns.items()]
+        return [
+            TransactionResult(index, start, dict(transaction), {
+                name: X if xflags[index] else values[index]
+                for name, values, xflags in reads})
+            for index, (start, transaction)
+            in enumerate(zip(self.starts, transactions))]
+
+    def golden_mismatches(self, inputs: Iterable[Transaction],
+                          golden: Callable[[Transaction], Dict[str, int]],
+                          describe: Callable[[int, Transaction, str, int,
+                                              Value], str]) -> List[str]:
+        """Check every transaction against ``golden``: it is called once
+        per transaction, in index order, with that transaction's entry of
+        ``inputs``, and each output it names must have been captured
+        non-X and equal.  A mismatch is rendered by ``describe(index,
+        inputs, name, want, got)``, which runs for mismatches only."""
+        column_of = self.columns.get
+        mismatches: List[str] = []
+        for index, transaction in enumerate(inputs):
+            for name, want in golden(transaction).items():
+                column = column_of(name)
+                if (column is None or column[1][index]
+                        or column[0][index] != want):
+                    mismatches.append(describe(index, transaction, name, want,
+                                               self.output(index, name)))
+        return mismatches
 
 
 @dataclass
@@ -119,68 +200,35 @@ class CycleAccurateHarness:
     def _schedule(self, transactions: Sequence[Transaction],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> Tuple[List[Dict[str, Value]], List[int]]:
-        """Build the per-cycle input dictionaries for a pipelined run.
+        """The per-cycle input dictionaries for a pipelined run (what
+        :meth:`~repro.sim.engine.ScheduledEngine.run_batch` takes) and each
+        transaction's start cycle: :meth:`_schedule_columns` read out row by
+        row, so both forms share windows, idle values and overlap errors."""
+        total, columns, starts = self._schedule_columns(
+            StimulusColumns.from_transactions(self.spec, transactions),
+            spacing, extra_cycles)
+        return self._cycle_rows(total, columns), starts
 
-        Returns the stimulus list and each transaction's start cycle.  Raises
-        if two transactions would need to drive one input port in the same
-        cycle with different values (which can only happen when the caller
-        forces a spacing below the initiation interval).
-        """
-        spacing = spacing if spacing is not None else self.spec.initiation_interval
-        starts = [index * spacing for index in range(len(transactions))]
-        total = (starts[-1] if starts else 0) + self.spec.horizon() + extra_cycles
-
-        # Every cycle starts from the idle template — interface ports 0, data
-        # ports X so early/late reads are caught — and transactions overwrite
-        # their windows.  The template row is *interned*: every cycle outside
-        # a transaction window shares the one idle dict (the engines only
-        # read stimulus rows), and a window cycle gets its own copy on first
-        # write.  Long pipelined runs are mostly idle cycles, so this removes
-        # the per-cycle dict copy that used to dominate lane scheduling.
-        idle: Dict[str, Value] = {name: 0 for name in self.spec.interface_ports}
-        for port in self.spec.inputs:
-            idle[port.name] = X
-        stimulus: List[Dict[str, Value]] = [idle] * total
-
-        def writable(index: int) -> Dict[str, Value]:
-            row = stimulus[index]
-            if row is idle:
-                row = dict(idle)
-                stimulus[index] = row
-            return row
-
-        for start, transaction in zip(starts, transactions):
-            for offset_port, cycle in self.spec.interface_ports.items():
-                writable(start + cycle)[offset_port] = 1
-            for port in self.spec.inputs:
-                value = transaction.get(port.name)
-                if value is None:
-                    continue
-                for cycle in port.cycles():
-                    slot = writable(start + cycle)
-                    existing = slot[port.name]
-                    if existing is not X and existing != value:
-                        raise SimulationError(
-                            f"transactions overlap on input {port.name} at "
-                            f"cycle {start + cycle}; spacing {spacing} is "
-                            f"below the initiation interval"
-                        )
-                    slot[port.name] = value
-        return stimulus, starts
-
-    def _schedule_columns(self, transactions: Sequence[Transaction],
+    def _schedule_columns(self, stimulus: StimulusColumns,
                           spacing: Optional[int] = None,
                           extra_cycles: int = 4
                           ) -> Tuple[int, Dict[str, Tuple[List[int],
                                                           bytearray]],
                                      List[int]]:
-        """:meth:`_schedule` in columnar form for the native tier: one
-        ``(values, xflags)`` column per driven input port instead of one
-        dict per cycle.  Same windows, same idle semantics (interface ports
-        0, data ports X), same overlap error."""
+        """Build the input columns for a pipelined run: one ``(values,
+        xflags)`` column per interface and data input port, covering every
+        cycle of the run.
+
+        Returns the cycle count, the columns and each transaction's start
+        cycle.  Every cycle starts idle — interface ports 0, data ports X
+        so early/late reads are caught — and transactions overwrite their
+        windows.  Raises if two transactions would need to drive one input
+        port in the same cycle with different values (which can only
+        happen when the caller forces a spacing below the initiation
+        interval)."""
         spacing = (spacing if spacing is not None
                    else self.spec.initiation_interval)
-        count = len(transactions)
+        count = stimulus.count
         starts = [index * spacing for index in range(count)]
         total = ((starts[-1] if starts else 0) + self.spec.horizon()
                  + extra_cycles)
@@ -199,16 +247,18 @@ class CycleAccurateHarness:
                 else:
                     values[cycle] = 1
         for port in self.spec.inputs:
+            column = stimulus.columns.get(port.name)
+            if column is None:
+                continue
             values, xflags = columns[port.name]
-            name = port.name
-            column = [transaction.get(name) for transaction in transactions]
             # Windows of consecutive transactions are disjoint whenever the
             # hold fits inside the spacing, so each window cycle becomes
-            # one strided bulk write; holes (excluded ports, X stimulus)
-            # and overlapping windows take the checked per-cycle path.
+            # one strided bulk write; holes (undriven transactions, X
+            # stimulus) and overlapping windows take the checked per-cycle
+            # path.
             if (count and 0 < port.hold_cycles <= spacing
-                    and not any(value is None or is_x(value)
-                                for value in column)):
+                    and (stimulus.concrete
+                         or (None not in column and X not in column))):
                 zeros = bytes(count)
                 for cycle in port.cycles():
                     stop = cycle + count * spacing
@@ -233,108 +283,143 @@ class CycleAccurateHarness:
                         )
         return total, columns, starts
 
+    def _cycle_rows(self, total: int,
+                    columns: Dict[str, Tuple[List[int], bytearray]]
+                    ) -> List[Dict[str, Value]]:
+        """Per-cycle input dicts for ``total`` cycles of
+        :meth:`_schedule_columns` output.
+
+        Idle rows (interface ports 0, data ports X) are *interned*: they
+        share one dict, since the engines only read stimulus rows.  Long
+        pipelined runs are mostly idle cycles, so this keeps one dict per
+        busy cycle only."""
+        names = list(columns)
+        idle = tuple(0 if name in self.spec.interface_ports else X
+                     for name in names)
+        shared = dict(zip(names, idle))
+        if not names:
+            return [shared] * total
+        planes = [[X if flag else value
+                   for value, flag in zip(values, xflags)]
+                  for values, xflags in columns.values()]
+        return [shared if row == idle else dict(zip(names, row))
+                for row in zip(*planes)]
+
     # -- running ---------------------------------------------------------------
 
     def run(self, transactions: Sequence[Transaction],
             spacing: Optional[int] = None,
             extra_cycles: int = 4) -> List[TransactionResult]:
         """Run the transactions back-to-back at the initiation interval and
-        capture each one's outputs during their availability windows.
+        capture each one's outputs during their availability windows (see
+        :meth:`run_columns`)."""
+        view = self.run_columns(
+            StimulusColumns.from_transactions(self.spec, transactions),
+            spacing, extra_cycles)
+        return view.results(transactions)
 
-        When the simulator's native C tier is active the stimulus is built
-        and executed columnar (one C call for the whole run) instead of as
-        per-cycle dicts — trace-identical, just without the per-cycle
-        Python marshalling."""
+    def run_columns(self, stimulus: StimulusColumns,
+                    spacing: Optional[int] = None,
+                    extra_cycles: int = 4) -> ResultColumns:
+        """Run columnar stimulus back-to-back at the initiation interval
+        and return every output at each transaction's capture cycle, still
+        columnar.
+
+        On the native C tier the whole run is one columnar call
+        (:meth:`~repro.sim.engine.ScheduledEngine.run_columns`); the other
+        tiers run the same schedule as per-cycle dicts through
+        :meth:`~repro.sim.engine.ScheduledEngine.run_batch`, and the
+        capture reads that trace.  Both are trace-identical."""
         simulator = self._fresh_simulator()
-        if simulator.native_active():
-            total, columns, starts = self._schedule_columns(
-                transactions, spacing, extra_cycles)
-            out = simulator.run_columns(total, columns)
-            if out is not None:
-                return self._capture_columns(out, total, starts,
-                                             transactions)
-        stimulus, starts = self._schedule(transactions, spacing, extra_cycles)
-        trace = simulator.run_batch(stimulus)
-        return self._capture(trace, starts, transactions)
+        total, columns, starts = self._schedule_columns(
+            stimulus, spacing, extra_cycles)
+        out = simulator.run_columns(total, columns)
+        if out is None:
+            trace = simulator.run_batch(self._cycle_rows(total, columns))
+            return self._capture(self._trace_columns(trace), total, starts)
+        return self._capture(out, total, starts)
 
-    def _capture_columns(self, out: Dict[str, object],
-                         total: int, starts: List[int],
-                         transactions: Sequence[Transaction]
-                         ) -> List[TransactionResult]:
-        count = len(transactions)
+    def _trace_columns(self, trace: List[Dict[str, Value]]
+                       ) -> Dict[str, Tuple[List[Value], bytes]]:
+        """The spec's output ports of a per-cycle trace as ``(values,
+        xflags)`` columns."""
+        out = {}
+        for port in self.spec.outputs:
+            values = [row.get(port.name, X) for row in trace]
+            out[port.name] = (values, bytes([value is X for value in values]))
+        return out
+
+    def _capture(self, out: Dict[str, Tuple[Sequence[Value], Sequence[int]]],
+                 total: int, starts: List[int],
+                 lane: int = 0, n_lanes: int = 1) -> ResultColumns:
+        """Read every output port of the spec at each transaction's capture
+        cycle (its start plus the port's window start) out of the
+        per-cycle columns ``out`` — lane ``lane`` of ``n_lanes``
+        interleaved lanes (flat index ``cycle * n_lanes + lane``).  A port
+        missing from ``out`` and a capture cycle at or past ``total`` read
+        X."""
+        count = len(starts)
         spacing = starts[1] - starts[0] if count > 1 else 1
-        # One strided read per output port when the starts are uniform
-        # (they always are — ``_schedule_columns`` builds them that way)
-        # and every capture window lands inside the trace.
-        uniform = bool(count) and spacing > 0 and all(
-            port.name in out and starts[-1] + port.start < total
-            for port in self.spec.outputs)
-        port_reads: List[Tuple[str, object, object]] = []
-        if uniform:
-            for port in self.spec.outputs:
-                values, xflags = out[port.name]
-                stop = port.start + count * spacing
-                port_reads.append((port.name,
-                                   values[port.start:stop:spacing],
-                                   xflags[port.start:stop:spacing]))
-        results = []
-        for index, (start, transaction) in enumerate(zip(starts,
-                                                         transactions)):
-            result = TransactionResult(index, start, dict(transaction))
-            if uniform:
-                result.outputs = {
-                    name: (X if xcol[index] else vcol[index])
-                    for name, vcol, xcol in port_reads}
-            else:
-                for port in self.spec.outputs:
-                    capture_cycle = start + port.start
-                    value: Value = X
-                    if capture_cycle < total and port.name in out:
-                        values, xflags = out[port.name]
-                        if not xflags[capture_cycle]:
-                            value = values[capture_cycle]
-                    result.outputs[port.name] = value
-            results.append(result)
-        return results
-
-    def _capture(self, trace: List[Dict[str, Value]], starts: List[int],
-                 transactions: Sequence[Transaction]) -> List[TransactionResult]:
-        results = []
-        for index, (start, transaction) in enumerate(zip(starts, transactions)):
-            result = TransactionResult(index, start, dict(transaction))
-            for port in self.spec.outputs:
-                capture_cycle = start + port.start
-                value: Value = X
-                if capture_cycle < len(trace):
-                    value = trace[capture_cycle].get(port.name, X)
-                result.outputs[port.name] = value
-            results.append(result)
-        return results
+        columns: Dict[str, Tuple[Sequence[Value], Sequence[int]]] = {}
+        for port in self.spec.outputs:
+            column = out.get(port.name)
+            if column is None:
+                columns[port.name] = ([0] * count, b"\x01" * count)
+                continue
+            values, xflags = column
+            if count and spacing > 0 and starts[-1] + port.start < total:
+                # One strided read per port: the starts are uniform and
+                # every capture lands inside the run.
+                first = port.start * n_lanes + lane
+                stop = (starts[-1] + port.start) * n_lanes + lane + 1
+                step = spacing * n_lanes
+                columns[port.name] = (values[first:stop:step],
+                                      xflags[first:stop:step])
+                continue
+            cycles = [start + port.start for start in starts]
+            columns[port.name] = (
+                [values[cycle * n_lanes + lane] if cycle < total else 0
+                 for cycle in cycles],
+                bytes([xflags[cycle * n_lanes + lane] if cycle < total else 1
+                       for cycle in cycles]))
+        return ResultColumns(starts, columns)
 
     def run_lanes(self, transaction_streams: Sequence[Sequence[Transaction]],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> List[List[TransactionResult]]:
         """Run several *independent* transaction streams as lanes of one
-        lane-packed netlist pass and capture each stream's outputs.
-
-        Every stream is pipelined internally exactly as :meth:`run` would
-        pipeline it; the streams never interact, they only share the
-        simulator pass, so N fuzz streams cost roughly one.
-
-        When the simulator's native lane entry is active the streams are
-        scheduled columnar, merged into one lane-major-within-port buffer
-        set, and executed in a single C call
-        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`) —
-        trace-identical to the packed path, without the per-cycle Python
-        lane marshalling.
-        """
+        netlist pass and capture each stream's outputs (see
+        :meth:`run_lane_columns`)."""
         streams = [list(stream) for stream in transaction_streams]
+        views = self.run_lane_columns(
+            [StimulusColumns.from_transactions(self.spec, stream)
+             for stream in streams], spacing, extra_cycles)
+        return [view.results(stream) for view, stream in zip(views, streams)]
+
+    def run_lane_columns(self, stimuli: Sequence[StimulusColumns],
+                         spacing: Optional[int] = None,
+                         extra_cycles: int = 4) -> List[ResultColumns]:
+        """Run several *independent* columnar stimulus streams as lanes of
+        one netlist pass and return each stream's captured outputs.
+
+        Every stream is pipelined internally exactly as
+        :meth:`run_columns` would pipeline it; the streams never interact,
+        they only share the simulator pass, so N fuzz streams cost roughly
+        one.
+
+        When the simulator's native lane entry is active the streams'
+        schedules are merged into one lane-major-within-port buffer set and
+        executed in a single C call
+        (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`);
+        otherwise they run through
+        :meth:`~repro.sim.engine.ScheduledEngine.run_lanes` — trace
+        identical either way.
+        """
         simulator = self._fresh_simulator()
-        if streams and simulator.native_lanes_active():
-            schedules = [self._schedule_columns(stream, spacing,
-                                                extra_cycles)
-                         for stream in streams]
-            n_lanes = len(streams)
+        schedules = [self._schedule_columns(stimulus, spacing, extra_cycles)
+                     for stimulus in stimuli]
+        if schedules and simulator.native_lanes_active():
+            n_lanes = len(schedules)
             total = max(lane_total for lane_total, _, _ in schedules)
             merged: Dict[str, Tuple[List[int], bytearray]] = {}
             for name in schedules[0][1]:
@@ -348,22 +433,13 @@ class CycleAccurateHarness:
                 merged[name] = (values, xflags)
             out = simulator.run_lane_columns(total, n_lanes, merged)
             if out is not None:
-                results = []
-                for lane, ((lane_total, _, starts), stream) in enumerate(
-                        zip(schedules, streams)):
-                    lane_out = {
-                        name: (vals[lane::n_lanes], xfl[lane::n_lanes])
-                        for name, (vals, xfl) in out.items()}
-                    results.append(self._capture_columns(
-                        lane_out, lane_total, starts, stream))
-                return results
-        schedules = [self._schedule(stream, spacing, extra_cycles)
-                     for stream in streams]
-        traces = simulator.run_lanes(
-            [stimulus for stimulus, _ in schedules])
-        return [self._capture(trace, starts, stream)
-                for trace, (_, starts), stream
-                in zip(traces, schedules, streams)]
+                return [self._capture(out, lane_total, starts, lane, n_lanes)
+                        for lane, (lane_total, _, starts)
+                        in enumerate(schedules)]
+        traces = simulator.run_lanes([self._cycle_rows(total, columns)
+                                      for total, columns, _ in schedules])
+        return [self._capture(self._trace_columns(trace), len(trace), starts)
+                for trace, (_, _, starts) in zip(traces, schedules)]
 
     def trace(self, transactions: Sequence[Transaction],
               spacing: Optional[int] = None,
@@ -377,18 +453,17 @@ class CycleAccurateHarness:
               golden: Callable[[Transaction], Dict[str, int]],
               spacing: Optional[int] = None) -> HarnessReport:
         """Run and compare every captured output against ``golden``."""
-        results = self.run(transactions, spacing)
+        view = self.run_columns(
+            StimulusColumns.from_transactions(self.spec, transactions),
+            spacing)
+        results = view.results(transactions)
         report = HarnessReport(results)
-        for result in results:
-            expected = golden(result.inputs)
-            for name, want in expected.items():
-                got = result.output(name)
-                if is_x(got) or got != want:
-                    report.mismatches.append(
-                        f"transaction {result.index}: output {name} expected "
-                        f"{want} but captured {format_value(got)} at cycle "
-                        f"{result.start_cycle + self.spec.output(name).start}"
-                    )
+        report.mismatches = view.golden_mismatches(
+            (result.inputs for result in results), golden,
+            lambda index, inputs, name, want, got: (
+                f"transaction {index}: output {name} expected "
+                f"{want} but captured {format_value(got)} at cycle "
+                f"{view.starts[index] + self.spec.output(name).start}"))
         return report
 
 

@@ -6,49 +6,68 @@ the source" and by differential testing of the combinational, pipelined and
 Filament implementations.  This module provides those two facilities on top
 of :class:`~repro.harness.driver.CycleAccurateHarness`:
 
-* :func:`random_transactions` — reproducible random input vectors sized to
-  each port's width;
+* :func:`random_columns` / :func:`random_transactions` — reproducible
+  random input values sized to each port's width, as per-port columns or
+  as one dict per transaction (the same values either way);
 * :func:`differential_test` — run the same transactions through two designs
   (or a design and a Python golden model) and report every divergence;
 * :func:`fuzz_against_golden` — check a design against a golden model,
   optionally running many independently seeded streams as lanes of one
-  lane-packed simulator pass (``lanes=``).
+  simulator pass (``lanes=``; the native lane entry ``k_run_lanes`` on the
+  native tier).  Stimulus and captured outputs stay columnar from the RNG
+  to the verdict.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from ..sim.values import Value, format_value, is_x
-from .driver import CycleAccurateHarness, Transaction
+from ..sim.values import format_value, is_x
+from .driver import CycleAccurateHarness, StimulusColumns, Transaction
 
-__all__ = ["random_transactions", "DifferentialReport", "differential_test",
-           "fuzz_against_golden"]
+__all__ = ["random_columns", "random_transactions", "DifferentialReport",
+           "differential_test", "fuzz_against_golden"]
+
+
+def random_columns(harness: CycleAccurateHarness, count: int,
+                   seed: int = 0,
+                   exclude: Sequence[str] = ()) -> StimulusColumns:
+    """``count`` reproducible random transactions for ``harness``, drawn
+    straight into one value column per input port; ports in ``exclude``
+    are left undriven (useful for mode pins fixed elsewhere).
+
+    Every call builds its own :class:`random.Random` from ``seed`` (streams
+    never share global RNG state, so interleaved streams stay reproducible)
+    and values span the port's *full* width — a 64-bit port receives
+    stimulus with high bits set, not values capped at 2**30.  Values are
+    drawn transaction-major, port-minor (``getrandbits(port.width)``), so a
+    seed names the same stimulus in every form.
+    """
+    ports = [port for port in harness.spec.inputs if port.name not in exclude]
+    draws = list(map(random.Random(seed).getrandbits,
+                     [port.width for port in ports] * count))
+    stride = len(ports)
+    return StimulusColumns(count, {
+        port.name: draws[offset::stride] for offset, port in enumerate(ports)
+    }, concrete=True)
 
 
 def random_transactions(harness: CycleAccurateHarness, count: int,
                         seed: int = 0,
                         exclude: Sequence[str] = ()) -> List[Transaction]:
-    """``count`` reproducible random transactions for ``harness``; ports in
-    ``exclude`` are left undriven (useful for mode pins fixed elsewhere).
+    """:func:`random_columns` as one dict per transaction."""
+    return list(_rows(random_columns(harness, count, seed, exclude)))
 
-    Every call builds its own :class:`random.Random` from ``seed`` (streams
-    never share global RNG state, so interleaved streams stay reproducible)
-    and values span the port's *full* width — a 64-bit port receives
-    stimulus with high bits set, not values capped at 2**30.
-    """
-    generator = random.Random(seed)
-    transactions: List[Transaction] = []
-    for _ in range(count):
-        transaction: Transaction = {}
-        for port in harness.spec.inputs:
-            if port.name in exclude:
-                continue
-            transaction[port.name] = generator.getrandbits(port.width)
-        transactions.append(transaction)
-    return transactions
+
+def _rows(stimulus: StimulusColumns) -> Iterator[Transaction]:
+    """A fresh ``{port: value}`` dict per transaction of ``stimulus``."""
+    if not stimulus.columns:
+        return ({} for _ in range(stimulus.count))
+    return map(dict, map(zip, repeat(list(stimulus.columns)),
+                         zip(*stimulus.columns.values())))
 
 
 @dataclass
@@ -135,31 +154,35 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
                         count: int = 50, seed: int = 0,
                         lanes: int = 1) -> DifferentialReport:
     """Fuzz a design against a Python golden model.  The stimulus stream is
-    seeded per call (recorded in the report), never from global RNG state.
+    seeded per call (recorded in the report), never from global RNG state;
+    ``golden`` is called once per transaction, in order.
 
     With ``lanes > 1``, ``lanes`` independent streams (seeded ``seed``,
-    ``seed + 1``, …) run lane-packed through **one** netlist pass and every
-    stream is checked against the golden model — the way to push ``lanes``
-    times the fuzz traffic through the simulator for roughly one stream's
-    interpretation cost.
+    ``seed + 1``, …) run as lanes of **one** netlist pass
+    (:meth:`~repro.harness.driver.CycleAccurateHarness.run_lane_columns`)
+    and every stream is checked against the golden model — the way to push
+    ``lanes`` times the fuzz traffic through the simulator in one call.
+    Divergences of lane ``N`` start with ``lane N``.
+
+    The design's engine fallbacks are recorded under the ``"candidate"``
+    role of :attr:`DifferentialReport.fallback_reasons`, as in
+    :func:`differential_test`.
     """
     if lanes <= 1:
-        streams = [random_transactions(harness, count, seed)]
-        per_stream = [harness.run(streams[0])]
+        stimuli = [random_columns(harness, count, seed)]
+        views = [harness.run_columns(stimuli[0])]
     else:
-        streams = [random_transactions(harness, count, seed=seed + lane)
+        stimuli = [random_columns(harness, count, seed=seed + lane)
                    for lane in range(lanes)]
-        per_stream = harness.run_lanes(streams)
-    report = DifferentialReport(count * len(streams), seed=seed)
-    for lane, results in enumerate(per_stream):
-        tag = "" if len(per_stream) == 1 else f"lane {lane} "
-        for result in results:
-            expected = golden(result.inputs)
-            for name, want in expected.items():
-                got = result.output(name)
-                if is_x(got) or got != want:
-                    report.divergences.append(
-                        f"{tag}transaction {result.index} ({result.inputs}): "
-                        f"{name} expected {want} got {format_value(got)}"
-                    )
+        views = harness.run_lane_columns(stimuli)
+    report = DifferentialReport(count * len(stimuli), seed=seed)
+    report.fallback_reasons["candidate"] = (
+        harness._simulator.fallback_reasons())
+    for lane, (stimulus, view) in enumerate(zip(stimuli, views)):
+        tag = "" if len(views) == 1 else f"lane {lane} "
+        report.divergences.extend(view.golden_mismatches(
+            _rows(stimulus), golden,
+            lambda index, inputs, name, want, got: (
+                f"{tag}transaction {index} ({inputs}): "
+                f"{name} expected {want} got {format_value(got)}")))
     return report

@@ -526,9 +526,7 @@ class ScheduledEngine:
         self._native_used = True
         self._native_lanes_used = True
         self.native_lanes_fallback_reason = None
-        out = native.run_lanes_columns(cycles, n_lanes, columns)
-        self.cycle += cycles
-        return out
+        return native.run_lanes_columns(cycles, n_lanes, columns)
 
     def run_columns(self, cycles: int, columns) -> Optional[Dict[str, object]]:
         """Columnar batch execution on the native tier: ``columns`` maps

@@ -12,8 +12,13 @@ from repro.calyx.ir import (
     PortSpec,
 )
 from repro.core.errors import SimulationError
-from repro.harness import InterfaceSpec, PortTiming, audit_latency
-from repro.sim import ScheduledEngine, Simulator, X, is_x
+from repro.harness import (
+    CycleAccurateHarness,
+    InterfaceSpec,
+    PortTiming,
+    audit_latency,
+)
+from repro.sim import ScheduledEngine, Simulator, X, compiler_available, is_x
 
 
 def _adder_program():
@@ -224,6 +229,39 @@ class TestRunLanes:
         simulator.run_lanes([self._stream(0), self._stream(1)])
         assert simulator.cycle == 0  # reset after the packed run
         assert simulator.step({"go": 1, "a": 1, "b": 1}) is not None
+
+    @pytest.mark.skipif(not compiler_available(),
+                        reason="no C compiler for the native tier")
+    def test_native_lane_runs_leave_the_cycle_counter_alone(self):
+        """Lane runs use fresh lane state, so on the native lane entry too
+        the instance's own ``cycle`` is what scalar runs made it."""
+        simulator = Simulator(_registered_mux_program(), mode="native")
+        simulator.run_lanes([self._stream(0), self._stream(1)])
+        assert simulator.uses_native_lanes()
+        assert simulator.cycle == 0
+        simulator.run_batch(self._stream(2))
+        assert simulator.cycle == 9
+        ones, zeros = [1] * 6, bytes(6)
+        out = simulator.run_lane_columns(
+            3, 2, {"go": (ones, zeros), "a": (list(range(6)), zeros),
+                   "b": (ones, zeros)})
+        assert out is not None
+        assert simulator.cycle == 9
+
+    @pytest.mark.parametrize("mode", [
+        "compiled",
+        pytest.param("native", marks=pytest.mark.skipif(
+            not compiler_available(),
+            reason="no C compiler for the native tier"))])
+    def test_harness_lane_runs_end_at_cycle_zero(self, mode):
+        spec = InterfaceSpec(
+            "top", inputs=[PortTiming("a", 8, 0, 1),
+                           PortTiming("b", 8, 0, 1)],
+            outputs=[PortTiming("o", 8, 1, 2)], interface_ports={"go": 0})
+        harness = CycleAccurateHarness(_registered_mux_program(), spec,
+                                       mode=mode)
+        harness.run_lanes([[{"a": 1, "b": 2}], [{"a": 3, "b": 4}]])
+        assert harness._simulator.cycle == 0
 
     def test_empty_batch_list(self):
         assert Simulator(_registered_mux_program()).run_lanes([]) == []

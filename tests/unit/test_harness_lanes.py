@@ -82,6 +82,14 @@ def _cyclic_program():
     return program
 
 
+_CYCLIC_SPEC = InterfaceSpec(
+    "top",
+    inputs=[PortTiming("a", 8, 0, 1), PortTiming("sel", 1, 0, 1)],
+    outputs=[PortTiming("o", 8, 0, 1)],
+    initiation_interval=1,
+)
+
+
 class TestDifferentialFallbackReasons:
     def test_scheduled_designs_report_no_fallback(self):
         reference = _addmult_harness()
@@ -91,18 +99,33 @@ class TestDifferentialFallbackReasons:
         assert report.fallback_reasons == {"reference": {}, "candidate": {}}
 
     def test_cyclic_candidate_reports_its_reason(self):
-        spec = InterfaceSpec(
-            "top",
-            inputs=[PortTiming("a", 8, 0, 1), PortTiming("sel", 1, 0, 1)],
-            outputs=[PortTiming("o", 8, 0, 1)],
-            initiation_interval=1,
-        )
         program = _cyclic_program()
-        reference = CycleAccurateHarness(program, spec)
-        candidate = CycleAccurateHarness(program, spec)
+        reference = CycleAccurateHarness(program, _CYCLIC_SPEC)
+        candidate = CycleAccurateHarness(program, _CYCLIC_SPEC)
         transactions = [{"a": value, "sel": 0} for value in range(1, 5)]
         report = differential_test(reference, candidate, transactions)
         assert report.passed, str(report)
         assert report.fallback_reasons["candidate"] == {
             "top": "combinational-cycle"}
         assert "combinational-cycle" in str(report)
+
+    @pytest.mark.parametrize("lanes", (1, 3))
+    def test_fuzz_report_records_the_fallback(self, lanes):
+        """``fuzz_against_golden`` fills ``fallback_reasons`` the way
+        ``differential_test`` does, the design under test being the
+        candidate."""
+        harness = CycleAccurateHarness(_cyclic_program(), _CYCLIC_SPEC)
+        # ``sel=1`` feeds the mux back into itself; only ``sel=0`` has a
+        # defined output.
+        report = fuzz_against_golden(
+            harness, lambda t: {"o": t["a"]} if t["sel"] == 0 else {},
+            count=8, seed=1, lanes=lanes)
+        assert report.passed, str(report)
+        assert report.fallback_reasons == {
+            "candidate": {"top": "combinational-cycle"}}
+        assert "candidate engine fallback: top: combinational-cycle" \
+            in str(report)
+
+    def test_fuzz_report_on_a_scheduled_design(self):
+        report = fuzz_against_golden(_addmult_harness(), _golden, count=4)
+        assert report.fallback_reasons == {"candidate": {}}
