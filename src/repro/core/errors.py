@@ -26,6 +26,7 @@ __all__ = [
     "PhantomError",
     "LoweringError",
     "SimulationError",
+    "DriverConflictError",
     "render_interval_clash",
 ]
 
@@ -147,6 +148,27 @@ class LoweringError(FilamentError):
 class SimulationError(FilamentError):
     """The cycle-accurate simulator detected an inconsistent netlist, e.g. a
     combinational cycle or conflicting drivers on one wire."""
+
+
+class DriverConflictError(SimulationError):
+    """Definitely-active drivers put different values on one port.
+
+    ``component``, ``dst`` and ``cycle`` say where; ``detail`` ends the
+    message (the drivers and their values in a scalar run, the lane in a
+    lane run)."""
+
+    def __init__(self, component: str, dst: object, cycle: int,
+                 detail: str) -> None:
+        super().__init__(f"{component}: conflicting drivers for {dst} in "
+                         f"cycle {cycle}{detail}")
+        self.component = component
+        self.dst = dst
+        self.cycle = cycle
+
+    def in_lane(self, lane: int) -> "DriverConflictError":
+        """The same conflict as a lane run reports it."""
+        return DriverConflictError(self.component, self.dst, self.cycle,
+                                   f" (lane {lane})")
 
 
 def render_interval_clash(label: str, available: Interval,

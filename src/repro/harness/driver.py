@@ -387,9 +387,8 @@ class CycleAccurateHarness:
     def run_lanes(self, transaction_streams: Sequence[Sequence[Transaction]],
                   spacing: Optional[int] = None,
                   extra_cycles: int = 4) -> List[List[TransactionResult]]:
-        """Run several *independent* transaction streams as lanes of one
-        netlist pass and capture each stream's outputs (see
-        :meth:`run_lane_columns`)."""
+        """Run several *independent* transaction streams as lanes and
+        capture each stream's outputs (see :meth:`run_lane_columns`)."""
         streams = [list(stream) for stream in transaction_streams]
         views = self.run_lane_columns(
             [StimulusColumns.from_transactions(self.spec, stream)
@@ -399,26 +398,24 @@ class CycleAccurateHarness:
     def run_lane_columns(self, stimuli: Sequence[StimulusColumns],
                          spacing: Optional[int] = None,
                          extra_cycles: int = 4) -> List[ResultColumns]:
-        """Run several *independent* columnar stimulus streams as lanes of
-        one netlist pass and return each stream's captured outputs.
+        """Run several *independent* columnar stimulus streams as lanes and
+        return each stream's captured outputs.
 
         Every stream is pipelined internally exactly as
-        :meth:`run_columns` would pipeline it; the streams never interact,
-        they only share the simulator pass, so N fuzz streams cost roughly
-        one.
+        :meth:`run_columns` would pipeline it; the streams never interact.
 
         When the simulator's native lane entry is active the streams'
         schedules are merged into one lane-major-within-port buffer set and
         executed in a single C call
         (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`);
         otherwise they run through
-        :meth:`~repro.sim.engine.ScheduledEngine.run_lanes` — trace
-        identical either way.
+        :meth:`~repro.sim.engine.ScheduledEngine.run_lanes`, one scalar run
+        per stream — trace identical either way.
         """
         simulator = self._fresh_simulator()
         schedules = [self._schedule_columns(stimulus, spacing, extra_cycles)
                      for stimulus in stimuli]
-        if schedules and simulator.native_lanes_active():
+        if schedules and simulator.native_active():
             n_lanes = len(schedules)
             total = max(lane_total for lane_total, _, _ in schedules)
             merged: Dict[str, Tuple[List[int], bytearray]] = {}

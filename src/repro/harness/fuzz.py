@@ -12,10 +12,10 @@ of :class:`~repro.harness.driver.CycleAccurateHarness`:
 * :func:`differential_test` — run the same transactions through two designs
   (or a design and a Python golden model) and report every divergence;
 * :func:`fuzz_against_golden` — check a design against a golden model,
-  optionally running many independently seeded streams as lanes of one
-  simulator pass (``lanes=``; the native lane entry ``k_run_lanes`` on the
-  native tier).  Stimulus and captured outputs stay columnar from the RNG
-  to the verdict.
+  optionally running many independently seeded streams as lanes
+  (``lanes=``): one pass of the native lane entry ``k_run_lanes`` on the
+  native tier, one scalar run per stream on the others.  Stimulus and
+  captured outputs stay columnar from the RNG to the verdict.
 """
 
 from __future__ import annotations
@@ -158,10 +158,12 @@ def fuzz_against_golden(harness: CycleAccurateHarness,
     ``golden`` is called once per transaction, in order.
 
     With ``lanes > 1``, ``lanes`` independent streams (seeded ``seed``,
-    ``seed + 1``, …) run as lanes of **one** netlist pass
-    (:meth:`~repro.harness.driver.CycleAccurateHarness.run_lane_columns`)
-    and every stream is checked against the golden model — the way to push
-    ``lanes`` times the fuzz traffic through the simulator in one call.
+    ``seed + 1``, …) run as lanes
+    (:meth:`~repro.harness.driver.CycleAccurateHarness.run_lane_columns`:
+    one netlist pass on the native tier, one scalar run per stream
+    elsewhere) and every stream is checked against the golden model — the
+    way to push ``lanes`` times the fuzz traffic through the simulator in
+    one call.
     Divergences of lane ``N`` start with ``lane N``.
 
     The design's engine fallbacks are recorded under the ``"candidate"``

@@ -35,14 +35,10 @@ stimulus list with the per-cycle input validation hoisted out of the loop —
 the fast path used by the cycle-accurate harness for pipelined transaction
 streams.
 
-:meth:`ScheduledEngine.run_lanes` goes further: N *independent* stimulus
-streams are packed into bigint lanes (:class:`~repro.sim.values.PackedValue`)
-and one pass over the schedule evaluates every stream at once with bitwise
-bigint operations — trace-identical to N scalar runs, on both the scheduled
-and sweep-fallback paths.  Packing amortises the dominant cost of the whole
-repository (Python-interpreting the netlist) across the batch, which is what
-lets the conformance matrix and the fuzz harness drive wide stimulus loads
-at a usable throughput.
+:meth:`ScheduledEngine.run_lanes` runs N *independent* stimulus streams and
+returns one trace per stream, each identical to a scalar run of that stream
+on a freshly reset engine.  Off the native tier it is a loop over the
+engine's own scalar tier, one stream after another.
 
 ``mode="compiled"`` adds the next tier: the levelized schedule is compiled
 once into a specialized straight-line Python kernel
@@ -64,9 +60,12 @@ fast path) run natively, and ``run_lanes`` runs on the native **lane
 entry** (``k_run_lanes``): N independent streams per netlist pass through
 lane-major-within-port columnar buffers, one Python↔C crossing per batch
 (plus the raw columnar :meth:`ScheduledEngine.run_lane_columns` fast
-path).  When the lane entry is unavailable ``run_lanes`` rides the
-compiled-Python packed kernel with the reason recorded in
+path).  When the lane entry is unavailable ``run_lanes`` loops over the
+scalar tier the engine fell back to, with the reason recorded in
 :attr:`ScheduledEngine.native_lanes_fallback_reason`.
+
+Every tier truncates top-level input values to their port's declared
+width, as the C boundary does.
 """
 
 from __future__ import annotations
@@ -75,16 +74,9 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..calyx.ir import Assignment, CalyxComponent, CalyxProgram, Cell, CellPort
-from ..core.errors import SimulationError
-from .primitives import PrimitiveModel, ReplicatedLanes, create_primitive, is_primitive
-from .values import (
-    LaneContext,
-    PackedValue,
-    Value,
-    X,
-    format_value,
-    is_x,
-)
+from ..core.errors import DriverConflictError, SimulationError
+from .primitives import PrimitiveModel, create_primitive, is_primitive
+from .values import Value, X, format_value, is_x
 
 __all__ = ["ScheduledEngine", "SimulatorMode", "_MAX_SWEEPS"]
 
@@ -211,19 +203,20 @@ class ScheduledEngine:
                 )
         self._input_names = tuple(self.component.input_names())
         self._input_set = frozenset(self._input_names)
+        #: ``(name, mask)`` per input port: top-level inputs are truncated
+        #: to their declared width on entry.
+        self._input_masks = tuple((port.name, (1 << port.width) - 1)
+                                  for port in self.component.inputs)
 
         # Port keys interned once per cell: every evaluation path (scheduled,
-        # sweep fallback, tick, lane-packed) reuses these item tuples instead
-        # of rebuilding ``(cell, port)`` tuples cycle after cycle.
+        # sweep fallback, tick) reuses these item tuples instead of
+        # rebuilding ``(cell, port)`` tuples cycle after cycle.
         self._prim_nodes: List[_PrimNode] = [
             _PrimNode(cell, model) for cell, model in self._primitives.items()
         ]
         self._child_nodes: List[_ChildNode] = [
             _ChildNode(cell, child) for cell, child in self._children.items()
         ]
-        self._in_items_by_cell: Dict[str, Tuple[Tuple[str, _Key], ...]] = {
-            node.cell: node.in_items for node in self._prim_nodes
-        }
 
         # Kernel-codegen state (mode="compiled"/"native"); the kernel is
         # built lazily on the first run so construction stays cheap and
@@ -398,15 +391,12 @@ class ScheduledEngine:
     # -- lifecycle -------------------------------------------------------------
 
     def reset(self) -> None:
-        """Return every primitive and child to its power-on state (and leave
-        any lane-packed run's state behind)."""
+        """Return every primitive and child to its power-on state."""
         for model in self._primitives.values():
             model.reset()
         for child in self._children.values():
             child.reset()
         self._values = {}
-        self._lane_models: Dict[str, PrimitiveModel] = {}
-        self._packed_values: Dict[_Key, PackedValue] = {}
         self.cycle = 0
         if self._kernel is not None:
             self._kernel.reset()
@@ -491,13 +481,6 @@ class ScheduledEngine:
         :meth:`run_lane_columns` call executed through the native lane
         entry (false before any lane batch has run)."""
         return self._native_lanes_used
-
-    def native_lanes_active(self) -> bool:
-        """Whether lane batches will run on the native lane entry (builds
-        the kernel if needed).  False outside ``mode="native"`` or after a
-        fallback.  One translation unit carries both the scalar and lane
-        entries, so this coincides with :meth:`native_active`."""
-        return self.native_active()
 
     def run_lane_columns(self, cycles: int, n_lanes: int,
                          columns) -> Optional[Dict[str, object]]:
@@ -609,6 +592,11 @@ class ScheduledEngine:
                 f"{self.component.name}: unknown input port "
                 f"{sorted(unknown)[0]!r}"
             )
+        return self._run_stream(stimuli)
+
+    def _run_stream(self, stimuli: Sequence[Dict[str, Value]]
+                    ) -> List[Dict[str, Value]]:
+        """:meth:`run_batch` after input-name validation."""
         if self._native_requested:
             native = self._ensure_native()
             if native is not None:
@@ -627,16 +615,21 @@ class ScheduledEngine:
 
     def run_lanes(self, stimuli_batches: Sequence[Sequence[Dict[str, Value]]]
                   ) -> List[List[Dict[str, Value]]]:
-        """Execute N independent stimulus streams in lane-packed mode and
-        return one per-cycle output trace per stream.
+        """Execute N independent stimulus streams and return one per-cycle
+        output trace per stream.
 
         Each stream's trace is bit-identical — values and X planes — to the
         trace :meth:`run_batch` would produce for that stream alone on a
-        freshly reset engine: lanes never interact, they merely share the
-        netlist pass.  Streams may have different lengths; shorter streams
-        are padded with undriven (X) cycles whose results are discarded.
-        Input values are truncated to their port's declared width.  The
-        engine is reset before and after the run.
+        freshly reset engine.  Streams may have different lengths.  Input
+        values are truncated to their port's declared width.  The engine is
+        reset before and after the run.  On the native tier every stream
+        crosses into C in one call (the lane entry); otherwise the streams
+        run one after another on the engine's own scalar tier.
+
+        A driver conflict raises
+        :class:`~repro.core.errors.DriverConflictError` with the
+        ``... (lane N)`` message for the earliest conflicting cycle, and
+        within it the lowest conflicting lane.
         """
         # Sequences that already are lists are used as-is (no per-batch copy).
         batches = [batch if type(batch) is list else list(batch)
@@ -663,54 +656,22 @@ class ScheduledEngine:
                     self.reset()
             self._native_lanes_used = False
             self.native_lanes_fallback_reason = self.native_fallback_reason
-        ctx = LaneContext(len(batches), self._max_packed_width() + 1)
-        lengths = [len(batch) for batch in batches]
-        traces: List[List[Dict[str, Value]]] = [[] for _ in batches]
-        input_ports = [(port.name, port.width) for port in self.component.inputs]
-        output_names = [port.name for port in self.component.outputs]
-        uniform = min(lengths) == max(lengths)
-        kernel = self._ensure_kernel()
-        packed_kernel = (self._kernel_program.packed_instance(ctx)
-                         if kernel is not None else None)
-        if packed_kernel is None:
-            self._enter_lanes(ctx)
-        # Harness stimulus is dominated by repeated rows (idle X templates,
-        # constant interface pins), so packing is memoized per (port, lane
-        # values): a cycle window that re-drives the same values per lane
-        # reuses the packed bigints instead of re-packing them.  The cache
-        # is size-bounded: genuinely random stimulus would otherwise retain
-        # one key tuple + packed bigint per (port, cycle) for the whole run
-        # with a zero hit rate — once full, rows pack directly (repeating
-        # templates recur early, so the useful entries are already in).
-        pack_cache: Dict[Tuple[str, Tuple[Value, ...]], PackedValue] = {}
-        pack_cache_limit = 4096
+        traces: List[List[Dict[str, Value]]] = []
+        first: Optional[DriverConflictError] = None
         try:
-            for cycle in range(max(lengths)):
-                if uniform:
-                    rows = [batch[cycle] for batch in batches]
-                else:
-                    rows = [batch[cycle] if cycle < length else {}
-                            for batch, length in zip(batches, lengths)]
-                packed_inputs = {}
-                for name, width in input_ports:
-                    lane_values = tuple(row.get(name, X) for row in rows)
-                    cached = pack_cache.get((name, lane_values))
-                    if cached is None:
-                        cached = PackedValue.pack(lane_values, ctx, width)
-                        if len(pack_cache) < pack_cache_limit:
-                            pack_cache[(name, lane_values)] = cached
-                    packed_inputs[name] = cached
-                if packed_kernel is not None:
-                    outputs = packed_kernel.cycle(packed_inputs)
-                else:
-                    outputs = self._step_packed(packed_inputs, ctx)
-                columns = [outputs[name].unpack() for name in output_names]
-                for index, (trace, length) in enumerate(zip(traces, lengths)):
-                    if cycle < length:
-                        trace.append({name: column[index] for name, column
-                                      in zip(output_names, columns)})
+            for lane, batch in enumerate(batches):
+                self.reset()
+                if first is not None:
+                    # Only a conflict in an earlier cycle reports instead.
+                    batch = batch[:first.cycle]
+                try:
+                    traces.append(self._run_stream(batch))
+                except DriverConflictError as conflict:
+                    first = conflict.in_lane(lane)
         finally:
             self.reset()
+        if first is not None:
+            raise first
         return traces
 
     def _run_lanes_native(self, native, batches):
@@ -718,7 +679,7 @@ class ScheduledEngine:
         into lane-major-within-port flat columns, cross into C exactly
         once, and slice the flat output columns back into per-stream
         traces.  Padding cycles past a stream's length stay X and their
-        results are discarded, exactly like the packed path."""
+        results are discarded."""
         lengths = [len(batch) for batch in batches]
         n_lanes = len(batches)
         total = max(lengths)
@@ -750,38 +711,6 @@ class ScheduledEngine:
                             for name, vals, xfl in lane_cols}
                            for i in range(length)])
         return traces
-
-    def _max_packed_width(self) -> int:
-        """The widest signal anywhere in this component's hierarchy; the
-        uniform lane stride is one more (the per-slot guard bit)."""
-        widths = [port.width for port in self.component.inputs]
-        widths += [port.width for port in self.component.outputs]
-        widths += [model.packed_width_hint
-                   for model in self._primitives.values()]
-        widths += [child._max_packed_width()
-                   for child in self._children.values()]
-        return max(widths) if widths else 1
-
-    def _enter_lanes(self, ctx: LaneContext) -> None:
-        """Re-initialise the whole hierarchy for a packed run.  Primitives
-        without native packed support are wrapped in
-        :class:`~repro.sim.primitives.ReplicatedLanes` (one scalar instance
-        per lane), so correctness never depends on the cell mix."""
-        self._packed_values = {}
-        self.cycle = 0
-        self._lane_models = {}
-        for cell in self.component.cells:
-            model = self._primitives.get(cell.name)
-            if model is None:
-                continue
-            if model.supports_packed:
-                model.reset_packed(ctx)
-                self._lane_models[cell.name] = model
-            else:
-                self._lane_models[cell.name] = ReplicatedLanes(
-                    cell.component, cell.params, ctx)
-        for child in self._children.values():
-            child._enter_lanes(ctx)
 
     def _step_unchecked(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         if self._native_requested:
@@ -828,9 +757,10 @@ class ScheduledEngine:
     # -- settle ----------------------------------------------------------------
 
     def _begin_cycle(self, inputs: Dict[str, Value]) -> None:
-        self._values = {}
-        for name in self._input_names:
-            self._values[(None, name)] = inputs.get(name, X)
+        values = self._values = {}
+        for name, mask in self._input_masks:
+            value = inputs.get(name, X)
+            values[(None, name)] = value if value is X else value & mask
 
     def _settle(self) -> None:
         if self._schedule is not None:
@@ -926,11 +856,9 @@ class ScheduledEngine:
                         actives: List[_CompiledAssign],
                         values: List[Value]) -> None:
         drivers = ", ".join(str(assign.assignment) for assign in actives)
-        raise SimulationError(
-            f"{self.component.name}: conflicting drivers for {group.dst} in "
-            f"cycle {self.cycle}: {drivers} "
-            f"(values {[format_value(v) for v in values]})"
-        )
+        raise DriverConflictError(
+            self.component.name, group.dst, self.cycle,
+            f": {drivers} (values {[format_value(v) for v in values]})")
 
     # -- sweep fallback --------------------------------------------------------
 
@@ -1002,210 +930,6 @@ class ScheduledEngine:
                 values[group.dst_key] = value
                 changed = True
         return changed
-
-    # -- lane-packed execution -------------------------------------------------
-    #
-    # The packed methods mirror the scalar settle/tick machinery one-to-one:
-    # the same compiled schedule, the same driver groups, the same sweep
-    # fallback — only the value domain changes from scalar ``Value`` to
-    # ``PackedValue``, so every lane follows exactly the scalar semantics.
-
-    def _step_packed(self, inputs: Dict[str, PackedValue],
-                     ctx: LaneContext) -> Dict[str, PackedValue]:
-        self._packed_values = {}
-        for name in self._input_names:
-            self._packed_values[(None, name)] = inputs.get(name, ctx.all_x)
-        self._settle_packed(ctx)
-        outputs = self._outputs_packed(ctx)
-        self._tick_packed(ctx)
-        self.cycle += 1
-        return outputs
-
-    def _outputs_packed(self, ctx: LaneContext) -> Dict[str, PackedValue]:
-        return {port.name: self._packed_values.get((None, port.name), ctx.all_x)
-                for port in self.component.outputs}
-
-    def _begin_lane_cycle_preserving(self, inputs: Dict[str, PackedValue]) -> None:
-        """Packed counterpart of :meth:`_begin_cycle_preserving`."""
-        for name, value in inputs.items():
-            self._packed_values[(None, name)] = value
-
-    def _settle_packed(self, ctx: LaneContext) -> None:
-        if self._schedule is not None:
-            self._settle_scheduled_packed(ctx)
-        else:
-            self._settle_sweeps_packed(ctx)
-
-    def _settle_scheduled_packed(self, ctx: LaneContext) -> None:
-        values = self._packed_values
-        all_x = ctx.all_x
-        for kind, payload in self._schedule:
-            if kind == _GROUP:
-                value = self._resolve_group_packed(payload, values, ctx)
-                if value is not None:
-                    values[payload.dst_key] = value
-            elif kind == _PRIM:
-                model = self._lane_models[payload.cell]
-                outputs = model.combinational_packed(
-                    {port: values.get(key, all_x)
-                     for port, key in payload.in_items}, ctx)
-                out_keys = payload.out_keys
-                for port, value in outputs.items():
-                    key = out_keys.get(port)
-                    values[(payload.cell, port) if key is None else key] = value
-            else:
-                child = payload.engine
-                child._begin_lane_cycle_preserving({
-                    port: values.get(key, all_x)
-                    for port, key in payload.in_items
-                })
-                child._settle_packed(ctx)
-                child_values = child._packed_values
-                for port, key in payload.out_items:
-                    values[key] = child_values.get((None, port), all_x)
-
-    def _resolve_group_packed(self, group: _DriverGroup,
-                              values: Dict[_Key, PackedValue],
-                              ctx: LaneContext) -> Optional[PackedValue]:
-        """Per-lane :meth:`_resolve_group`: lanes with agreeing definite
-        drivers take the value, X-guard lanes go X unless provably
-        unaffected, lanes with no (possible) driver keep their previous
-        value.  Returns ``None`` when no lane is driven at all."""
-        lsb = ctx.lsb
-        all_x = ctx.all_x
-        driven_any = driven_concrete = value_bits = 0
-        possibles: List[Tuple[int, int, int]] = []
-        for assign in group.assigns:
-            guard_keys = assign.guard_keys
-            if guard_keys is None:
-                active, possible = lsb, 0
-            else:
-                active = unknown = 0
-                for key in guard_keys:
-                    guard = values.get(key, all_x)
-                    unknown |= guard.xmask & lsb
-                    active |= ctx.nonzero(guard.bits)
-                possible = unknown & ~active
-            if not active and not possible:
-                continue
-            if assign.src_key is None:
-                src_bits = ctx.broadcast(assign.src_const)
-                src_x = 0
-            else:
-                source = values.get(assign.src_key, all_x)
-                src_bits = source.bits
-                src_x = source.xmask & lsb
-            if active:
-                concrete = active & ~src_x
-                clash = concrete & driven_concrete
-                if clash:
-                    differs = ctx.nonzero(
-                        (value_bits ^ src_bits) & ctx.spread(clash)) & clash
-                    if differs:
-                        self._raise_lane_conflict(group, differs, ctx)
-                value_bits |= src_bits & ctx.spread(concrete & ~driven_concrete)
-                driven_concrete |= concrete
-                driven_any |= active
-            if possible:
-                possibles.append((possible, src_bits, src_x))
-        maybe_any = x_override = 0
-        for possible, src_bits, src_x in possibles:
-            maybe_any |= possible
-            agrees = possible & driven_concrete & ~src_x
-            if agrees:
-                differs = ctx.nonzero(
-                    (value_bits ^ src_bits) & ctx.spread(agrees)) & agrees
-                agrees &= ~differs
-            x_override |= possible & ~agrees
-        set_lanes = driven_any | maybe_any
-        if not set_lanes:
-            return None
-        final_concrete = driven_concrete & ~x_override
-        previous = values.get(group.dst_key, all_x)
-        keep = ~ctx.spread(set_lanes)
-        bits = (previous.bits & keep) | (value_bits & ctx.spread(final_concrete))
-        xmask = ((previous.xmask & keep)
-                 | ctx.spread(set_lanes & ~final_concrete))
-        return PackedValue(ctx.lanes, ctx.stride, bits, xmask)
-
-    def _raise_lane_conflict(self, group: _DriverGroup, lanes: int,
-                             ctx: LaneContext) -> None:
-        lane = ((lanes & -lanes).bit_length() - 1) // ctx.stride
-        raise SimulationError(
-            f"{self.component.name}: conflicting drivers for {group.dst} in "
-            f"cycle {self.cycle} (lane {lane})"
-        )
-
-    def _settle_sweeps_packed(self, ctx: LaneContext) -> None:
-        for _ in range(_MAX_SWEEPS):
-            changed = False
-            changed |= self._evaluate_primitives_packed(ctx)
-            changed |= self._evaluate_children_packed(ctx)
-            changed |= self._evaluate_assignments_packed(ctx)
-            if not changed:
-                return
-        raise SimulationError(
-            f"{self.component.name}: combinational logic did not settle "
-            f"within {_MAX_SWEEPS} sweeps (possible combinational loop)"
-        )
-
-    def _evaluate_primitives_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        all_x = ctx.all_x
-        in_items_by_cell = self._in_items_by_cell
-        for cell_name, model in self._lane_models.items():
-            outputs = model.combinational_packed(
-                {port: values.get(key, all_x)
-                 for port, key in in_items_by_cell[cell_name]}, ctx)
-            for port, value in outputs.items():
-                key = (cell_name, port)
-                if values.get(key, all_x) != value:
-                    values[key] = value
-                    changed = True
-        return changed
-
-    def _evaluate_children_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        all_x = ctx.all_x
-        for node in self._child_nodes:
-            child = node.engine
-            child._begin_lane_cycle_preserving({
-                port: values.get(key, all_x) for port, key in node.in_items
-            })
-            child._settle_packed(ctx)
-            child_values = child._packed_values
-            for port, key in node.out_items:
-                value = child_values.get((None, port), all_x)
-                if values.get(key, all_x) != value:
-                    values[key] = value
-                    changed = True
-        return changed
-
-    def _evaluate_assignments_packed(self, ctx: LaneContext) -> bool:
-        changed = False
-        values = self._packed_values
-        for group in self._groups:
-            value = self._resolve_group_packed(group, values, ctx)
-            if value is None:
-                continue
-            if values.get(group.dst_key, ctx.all_x) != value:
-                values[group.dst_key] = value
-                changed = True
-        return changed
-
-    def _tick_packed(self, ctx: LaneContext) -> None:
-        values = self._packed_values
-        all_x = ctx.all_x
-        in_items_by_cell = self._in_items_by_cell
-        for cell_name, model in self._lane_models.items():
-            model.tick_packed(
-                {port: values.get(key, all_x)
-                 for port, key in in_items_by_cell[cell_name]}, ctx)
-        for child in self._children.values():
-            child._tick_packed(ctx)
-            child.cycle += 1
 
     # -- tick ------------------------------------------------------------------
 

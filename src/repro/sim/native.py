@@ -31,9 +31,7 @@ Two execution shapes share one translation unit:
   netlist pass as an inner lane loop over N consecutive state structs,
   with the columnar buffers generalized to lane-major-within-port layout
   (flat index ``((word) * cycles + cycle) * n_lanes + lane``) — input and
-  output cross the Python↔C boundary exactly once per batch, which is
-  what removes the per-cycle ``PackedValue`` pack/unpack cap on the
-  Python packed tiers.
+  output cross the Python↔C boundary exactly once per batch.
 
 Values wider than 64 bits **spill to multi-limb slots**: a signal of
 width ``w`` occupies ``ceil(w / 64)`` consecutive ``uint64_t`` words
@@ -63,9 +61,11 @@ Exactness notes:
   the scalar wrapper re-reads the captured guard/source slots and replays
   :func:`repro.sim.codegen._resolve_slots` to raise the **identical**
   :class:`~repro.core.errors.SimulationError` message, while the lane
-  entry reports ``(plan, lane, cycle)`` and the wrapper formats the exact
-  packed-tier ``... (lane N)`` message (the lane conflict screen is
-  assign-major, mirroring ``_resolve_slots_packed``'s detection order);
+  entry reports ``(plan, lane, cycle)`` and the wrapper formats the
+  ``... (lane N)`` message of the ``run_lanes`` contract: the earliest
+  conflicting cycle, and within it the lowest conflicting lane (the C
+  screen stops at the first conflicting group in settle order, so the
+  wrapper reruns the lower lanes through that cycle to find the lowest);
 * input values are truncated to their port's declared width at the C
   boundary (the same contract ``run_lanes`` documents).
 """
@@ -84,7 +84,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import faults as _faults
-from ..core.errors import SimulationError
+from ..core.errors import DriverConflictError, SimulationError
 from ..core.store import ArtifactStore, default_store
 from .values import Value, X
 from . import codegen
@@ -304,7 +304,7 @@ class _PlanRegistry:
     each gets a global id, the Python-side resolution tuple (for exact
     error replay) and the ``(slot, limbs)`` list the scalar C code
     captures at the moment of a conflict.  The lane entry captures only
-    ``(plan, lane)`` — the packed-tier message carries no values."""
+    ``(plan, lane)`` — the lane message carries no values."""
 
     def __init__(self) -> None:
         self.plans: List[tuple] = []
@@ -544,8 +544,8 @@ class _CEmitter:
         base + ``offsetof``).  Runs of simple nodes — primitives and
         single-driver groups, which cannot raise — share one lane loop;
         multi-driver groups (conflict screen) and child calls break the
-        run so the node-major execution order matches the scalar and
-        packed tiers exactly."""
+        run so the node-major execution order matches the scalar tiers
+        exactly."""
         c = self.c
         sid = f"S{self.cid}"
         out.emit(f"static int settle_l{self.cid}(char* base, "
@@ -1094,11 +1094,11 @@ class _CEmitter:
 
     def _emit_group_lanes(self, out: codegen._Lines, group) -> None:
         """Multi-driver group over the lane block.  Pass 1 is the
-        assign-major conflict screen: iterating assigns in plan order and
-        lanes ascending reproduces ``_resolve_slots_packed``'s detection
-        order (first clashing assign, lowest differing lane) exactly.
-        Pass 2 resolves values per lane with the conflict logic removed —
-        any conflicting lane already returned."""
+        assign-major conflict screen: it returns the first clashing assign
+        in plan order, in its lowest differing lane (the wrapper then
+        finds the lowest conflicting lane of the cycle).  Pass 2 resolves
+        values per lane with the conflict logic removed — any conflicting
+        lane already returned."""
         c = self.c
         sid = f"S{self.cid}"
         d = c.slots[group.dst_key]
@@ -1753,8 +1753,10 @@ class NativeKernel:
         ``cycle * n_lanes + lane``), same shape out.  One C call drives
         all lanes through a *fresh* block of ``n_lanes`` consecutive state
         structs (matching ``run_lanes``'s fresh-engines contract); the
-        instance's own scalar state is untouched.  A driver conflict in
-        any lane raises the packed-tier ``... (lane N)`` message."""
+        instance's own scalar state is untouched.  A driver conflict
+        raises :class:`~repro.core.errors.DriverConflictError` with the
+        ``... (lane N)`` message for the earliest conflicting cycle, and
+        within it the lowest conflicting lane."""
         program = self._program
         nl = n_lanes
         n = cycles * nl
@@ -1781,15 +1783,22 @@ class NativeKernel:
                                    self._err_plan, self._err_lane)
         del iv, ix, ov, ox  # release from_buffer views before reuse
         if rc >= 0:
-            pid = int(self._err_plan[0])
+            plan = program.plans.plans[int(self._err_plan[0])]
             lane = int(self._err_lane[0])
-            plan = program.plans.plans[pid]
-            # The packed-tier message format: the lane screen is
-            # assign-major like _resolve_slots_packed, so (group, lane,
-            # cycle) all agree byte-for-byte.
-            raise SimulationError(
-                f"{plan[0]}: conflicting drivers for {plan[1].dst} in "
-                f"cycle {rc} (lane {lane})")
+            if lane:
+                # The screen stopped at the first conflicting group of
+                # cycle ``rc``; a lower lane may conflict later in that
+                # cycle.  Rerunning the lower lanes through ``rc`` raises
+                # for the lowest one, if any.
+                def lower(column):
+                    return [column[cycle * nl + low]
+                            for cycle in range(rc + 1)
+                            for low in range(lane)]
+                self.run_lanes_columns(rc + 1, lane, {
+                    name: (lower(values), lower(xflags))
+                    for name, (values, xflags) in columns.items()})
+            raise DriverConflictError(plan[0], plan[1].dst, rc,
+                                      f" (lane {lane})")
         return self._split_outputs(n, memoryview(ovbuf).cast("Q"),
                                    bytes(oxbuf))
 
@@ -1819,8 +1828,8 @@ class NativeKernel:
                         ivbuf.extend(values)
                 except OverflowError:
                     # Out-of-range stimulus: truncate to 64 bits (the port
-                    # mask in C truncates further, matching ``run_lanes``'s
-                    # documented input-truncation contract).  ``extend``
+                    # mask in C truncates further, to the declared width
+                    # every tier truncates inputs to).  ``extend``
                     # appends element-by-element, so the in-range prefix it
                     # already copied must be dropped before re-extending or
                     # the column misaligns.

@@ -20,10 +20,11 @@ is simulated by a nested engine, which keeps compiled user components
 pass.
 
 Conflicting drivers — two simultaneously-active guarded assignments driving
-different values onto one port — raise :class:`SimulationError`.  Filament's
-type system guarantees this cannot happen for compiled programs; the error
-path exists to catch bugs in hand-written netlists and is exercised by the
-test suite.
+different values onto one port — raise
+:class:`~repro.core.errors.DriverConflictError`, a
+:class:`SimulationError`.  Filament's type system guarantees this cannot
+happen for compiled programs; the error path exists to catch bugs in
+hand-written netlists and is exercised by the test suite.
 
 :class:`Simulator` is the stable public API (``step``/``peek``/``outputs``/
 ``reset``/``run_batch``); it is the scheduled engine with the historical
@@ -41,11 +42,13 @@ tier falls back to the next with a recorded reason
 (:attr:`~repro.sim.engine.ScheduledEngine.native_fallback_reason`) when a
 netlist is ineligible — black-box primitives, values wider than 256 bits
 (65–256-bit signals spill to multi-limb ``uint64_t`` slots) — or the host
-has no C compiler.  Lane-packed runs (``run_lanes``) under
-``mode="native"`` execute through the native lane entry ``k_run_lanes``
-(N streams per netlist pass, one Python↔C crossing per batch), falling
-back to the compiled-Python packed kernel with the reason recorded in
-:attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`.
+has no C compiler.  Lane runs (``run_lanes``: N independent streams)
+under ``mode="native"`` execute through the native lane entry
+``k_run_lanes`` (one Python↔C crossing per batch); on every other tier
+they loop over the streams, one scalar run each, with the reason recorded
+in :attr:`~repro.sim.engine.ScheduledEngine.native_lanes_fallback_reason`
+when native was asked for.  Every tier truncates input values to their
+port's declared width.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Every committed corpus entry is replayed through the generated-kernel
 engine (``mode="compiled"``) and must trace bit-identically — values *and*
 X planes — to the scheduled and fixpoint interpreters, for scalar runs and
-for lane-packed runs.  A deliberately irregular (self-looping) program
+for lane runs.  A deliberately irregular (self-looping) program
 pins down the automatic interpreter fallback: its trace must still match
 the reference engines, with the fallback reason recorded in the coverage
 ledger.

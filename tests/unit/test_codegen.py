@@ -1,13 +1,13 @@
 """Unit tests for the kernel codegen tier (:mod:`repro.sim.codegen`).
 
-The core property mirrors ``tests/unit/test_lanes.py``: for every primitive
-kind the registry can produce, a netlist instantiating it must behave
-identically under the scheduled interpreter and the generated kernel —
-same values, same X planes, cycle by cycle through registered state — in
-both the scalar and the lane-packed kernel variant.  On top of the
-per-primitive sweep, the driver-group folding, the conflict error path, the
-digest-keyed cache and the automatic interpreter fallback are pinned down
-directly.
+The core property: for every primitive kind the registry can produce, a
+netlist instantiating it must behave identically under the scheduled
+interpreter and the generated kernel — same values, same X planes, cycle
+by cycle through registered state — in scalar runs and in lane runs
+(``run_lanes`` off the native tier: one kernel run per stream).  On top
+of the per-primitive sweep, the driver-group folding, the conflict error
+path, the digest-keyed cache and the automatic interpreter fallback are
+pinned down directly.
 """
 
 import random
@@ -34,8 +34,9 @@ from repro.sim import (
     netlist_digest,
 )
 
-#: (primitive, params, {input port: width}) — the same behavioural matrix
-#: the lane-packing tests sweep, reused against the codegen tier.
+#: (primitive, params, {input port: width}) — one entry per behavioural
+#: case the registry can produce, with widths chosen to stress carries
+#: (including full 64-bit values).
 CASES = [
     ("Add", (8,), {"left": 8, "right": 8}),
     ("Add", (64,), {"left": 64, "right": 64}),
@@ -83,7 +84,7 @@ def _single_cell_program(name, params, widths):
     """A one-cell netlist: every model input fed straight from a component
     input, every model output exposed as a component output."""
     model = create_primitive(name, params)
-    width_hint = max([model.packed_width_hint] + list(widths.values()) + [1])
+    width_hint = max([model.value_width_hint] + list(widths.values()) + [1])
     component = CalyxComponent("top")
     for port, width in widths.items():
         component.inputs.append(PortSpec(f"i_{port}", width))
@@ -137,6 +138,8 @@ def test_scalar_kernel_matches_interpreter(name, params, widths):
 @pytest.mark.parametrize("name,params,widths", CASES,
                          ids=[f"{c[0]}{list(c[1])}" for c in CASES])
 def test_packed_kernel_matches_interpreter(name, params, widths):
+    """Compiled-tier lanes (one kernel run per stream) equal N scalar
+    interpreter runs, for every primitive kind."""
     rng = random.Random(hash((name, params, "packed")) & 0xFFFF)
     program = _single_cell_program(name, params, widths)
     streams = [_stimulus(rng, widths, CYCLES) for _ in range(LANES)]

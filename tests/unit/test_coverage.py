@@ -169,7 +169,7 @@ def test_cells_of_record_tracks_engine_paths_and_aux_bins():
     assert ("op", "add", "2-8", "native-lanes") not in cells
     assert ("regime", "blackbox") in cells
     assert ("ii", 3) in cells
-    assert ("lanes", "packed") in cells
+    assert ("lanes", "packed") not in cells
     assert ("lanes", "native") not in cells
     assert ("sharing", "shared") in cells
     assert ("mutation", "op-kind") in cells

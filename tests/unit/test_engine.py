@@ -227,7 +227,7 @@ class TestRunLanes:
         with pytest.raises(SimulationError, match="unknown input port"):
             simulator.run_lanes([[{"go": 1}], [{"typo": 1}]])
         simulator.run_lanes([self._stream(0), self._stream(1)])
-        assert simulator.cycle == 0  # reset after the packed run
+        assert simulator.cycle == 0  # reset after the lane run
         assert simulator.step({"go": 1, "a": 1, "b": 1}) is not None
 
     @pytest.mark.skipif(not compiler_available(),
@@ -267,8 +267,7 @@ class TestRunLanes:
         assert Simulator(_registered_mux_program()).run_lanes([]) == []
 
     def test_input_values_truncated_to_port_width(self):
-        """Packed mode masks inputs to the declared width so an oversized
-        value cannot bleed into the neighbouring lane."""
+        """Lane runs mask inputs to the declared width."""
         traces = Simulator(_adder_program()).run_lanes(
             [[{"a": 0x1FF, "b": 0}], [{"a": 1, "b": 1}]])
         assert traces[0][0]["o"] == 0xFF
@@ -452,9 +451,9 @@ class TestAuditLatencyGuards:
 
 class TestRunLanesInputHandling:
     """Regressions for the ``run_lanes`` input path: batches arriving as
-    non-list sequences (and lists, which are no longer copied) and the
-    memoized packing of rows that repeat across the cycle window must all
-    leave the packed traces unchanged."""
+    non-list sequences (and lists, which are no longer copied) and rows
+    that repeat across the cycle window must all leave the lane traces
+    unchanged."""
 
     def _program(self):
         component = CalyxComponent(
@@ -472,8 +471,8 @@ class TestRunLanesInputHandling:
         return program
 
     def _streams(self):
-        # Heavy row repetition (idle-template style) to drive the pack
-        # memoization, plus X rows and per-lane divergence.
+        # Heavy row repetition (idle-template style), plus X rows and
+        # per-lane divergence.
         idle = {"en": 0, "a": X}
         return [
             [dict(idle), {"en": 1, "a": 7}] + [dict(idle)] * 6,

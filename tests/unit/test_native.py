@@ -17,12 +17,13 @@ from repro.calyx.ir import (
     Assignment,
     CalyxComponent,
     CalyxProgram,
+    Cell,
     CellPort,
     Guard,
     PortSpec,
 )
 from repro.core.errors import SimulationError
-from repro.sim import Simulator, clear_native_cache, compiler_available
+from repro.sim import Simulator, X, clear_native_cache, compiler_available
 from repro.sim import native as native_module
 from repro.sim.codegen import kernel_cache_limit, set_kernel_cache_limit
 
@@ -78,6 +79,66 @@ class TestConflictParity:
         native = Simulator(_guarded_program(), mode="native")
         _same_traces(reference, native.run_batch(stimulus))
         assert native.uses_native(), native.native_fallback_reason
+
+
+#: Every tier, native only where the host has a C compiler.
+TIERS = ["fixpoint", "auto", "compiled",
+         pytest.param("native", marks=needs_cc)]
+
+#: Out-of-range values for an 8-bit port: one bit too wide, past 64 bits,
+#: and negative.
+OVERSIZED = [0x1FF, 2 ** 70 + 3, -1]
+
+
+class TestInputTruncation:
+    """Every tier truncates top-level inputs to their port's declared
+    width, through ``step``, ``run_batch`` and ``run_lanes`` alike."""
+
+    def _wire_program(self):
+        component = CalyxComponent("top", inputs=[PortSpec("a", 8)],
+                                   outputs=[PortSpec("o", 8)])
+        component.add_wire(Assignment(CellPort(None, "o"),
+                                      CellPort(None, "a")))
+        program = CalyxProgram(entrypoint="top")
+        program.add(component)
+        return program
+
+    def _register_program(self):
+        component = CalyxComponent(
+            "top", inputs=[PortSpec("en", 1), PortSpec("a", 8)],
+            outputs=[PortSpec("o", 8)])
+        component.add_cell(Cell("R", "Reg", (8,)))
+        component.add_wire(Assignment(CellPort("R", "en"),
+                                      CellPort(None, "en")))
+        component.add_wire(Assignment(CellPort("R", "in"),
+                                      CellPort(None, "a")))
+        component.add_wire(Assignment(CellPort(None, "o"),
+                                      CellPort("R", "out")))
+        program = CalyxProgram(entrypoint="top")
+        program.add(component)
+        return program
+
+    def _check(self, program, mode, stimulus, want):
+        simulator = Simulator(program, mode=mode)
+        assert [row["o"] for row in simulator.run_batch(stimulus)] == want
+        if mode == "native":
+            assert simulator.uses_native(), simulator.native_fallback_reason
+        simulator.reset()
+        assert [simulator.step(row)["o"] for row in stimulus] == want
+        lanes = simulator.run_lanes([stimulus, stimulus[:1]])
+        assert [row["o"] for row in lanes[0]] == want
+        assert [row["o"] for row in lanes[1]] == want[:1]
+
+    @pytest.mark.parametrize("mode", TIERS)
+    def test_pass_through_wire(self, mode):
+        self._check(self._wire_program(), mode,
+                    [{"a": value} for value in OVERSIZED], [255, 3, 255])
+
+    @pytest.mark.parametrize("mode", TIERS)
+    def test_register(self, mode):
+        stimulus = [{"en": 1, "a": value} for value in OVERSIZED]
+        self._check(self._register_program(), mode,
+                    stimulus + [{"en": 0}], [X, 255, 3, 255])
 
 
 class TestFallbackReasons:

@@ -50,9 +50,38 @@ def _guarded_program():
     return program
 
 
+def _two_group_program():
+    """Three guarded drivers onto ``o`` and two onto ``p`` — lanes can
+    conflict on different drivers and different groups in one cycle."""
+    component = CalyxComponent(
+        "top", inputs=[PortSpec(name, 1) for name in "ghkm"]
+        + [PortSpec(name, 8) for name in "abc"],
+        outputs=[PortSpec("o", 8), PortSpec("p", 8)])
+    for dst, drivers in (("o", (("a", "g"), ("b", "h"), ("c", "k"))),
+                         ("p", (("a", "m"), ("b", "m")))):
+        for src, guard in drivers:
+            component.add_wire(Assignment(
+                CellPort(None, dst), CellPort(None, src),
+                Guard((CellPort(None, guard),))))
+    program = CalyxProgram(entrypoint="top")
+    program.add(component)
+    return program
+
+
+def _row(**guards):
+    row = {"g": 0, "h": 0, "k": 0, "m": 0, "a": 1, "b": 2, "c": 3}
+    row.update(guards)
+    return row
+
+
+#: Every tier, native only where the host has a C compiler.
+TIERS = ["fixpoint", "auto", "compiled",
+         pytest.param("native", marks=needs_cc)]
+
+
 class TestLaneConflictParity:
     """A conflict in lane 2, cycle 1 — the clean lanes must not mask it
-    and the message must match the packed-kernel path byte for byte."""
+    and the message must match across tiers byte for byte."""
 
     CLEAN = [{"g": 1, "h": 0, "a": 3, "b": 4},
              {"g": 0, "h": 1, "a": 5, "b": 6}]
@@ -71,6 +100,46 @@ class TestLaneConflictParity:
         assert "cycle 1 (lane 2)" in message
         for mode in ("auto", "compiled"):
             assert self._message(mode)[1] == message, mode
+
+    GOOD = [{"g": 1, "h": 0, "a": 3, "b": 4}]
+    BAD = [{"g": 1, "h": 1, "a": 3, "b": 4}]
+
+    #: name -> (program, streams, the message every tier must raise).  The
+    #: earliest conflicting cycle is reported, and within it the lowest
+    #: conflicting lane — whichever driver or group conflicts first.
+    CASES = {
+        "clean-clean-conflict": (
+            _guarded_program, [CLEAN, CLEAN, CONFLICT],
+            "top: conflicting drivers for o in cycle 1 (lane 2)"),
+        "good-bad": (
+            _guarded_program, [GOOD, BAD],
+            "top: conflicting drivers for o in cycle 0 (lane 1)"),
+        "two-lanes-same-group": (
+            _guarded_program, [CLEAN, CONFLICT, CONFLICT],
+            "top: conflicting drivers for o in cycle 1 (lane 1)"),
+        "lower-lane-on-a-later-driver": (
+            _two_group_program, [[_row(g=1, k=1)], [_row(g=1, h=1)]],
+            "top: conflicting drivers for o in cycle 0 (lane 0)"),
+        "lower-lane-on-a-later-group": (
+            _two_group_program, [[_row(m=1)], [_row(g=1, h=1)]],
+            "top: conflicting drivers for p in cycle 0 (lane 0)"),
+        "earlier-cycle-in-a-higher-lane": (
+            _two_group_program,
+            [[_row(), _row(), _row(g=1, h=1)], [_row(), _row(m=1)]],
+            "top: conflicting drivers for p in cycle 1 (lane 1)"),
+    }
+
+    @pytest.mark.parametrize("mode", TIERS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_tier_raises_the_same_message(self, case, mode):
+        build, streams, message = self.CASES[case]
+        simulator = Simulator(build(), mode=mode)
+        with pytest.raises(SimulationError) as info:
+            simulator.run_lanes(streams)
+        assert str(info.value) == message
+        if mode == "native":
+            assert simulator.uses_native_lanes(), \
+                simulator.native_lanes_fallback_reason
 
     @needs_cc
     def test_clean_lanes_alongside_agreeing_drivers_pass(self):

@@ -9,7 +9,7 @@ limb, where C wrap-around must coincide with the Python bigint semantics),
 primitive in the sweep and every boundary width the randomized trace —
 values and X planes — must be identical under the fixpoint reference, the
 scheduled interpreter, the compiled Python kernel and the native C kernel
-(scalar), and under the lane-packed kernel and the native lane entry
+(scalar), and under compiled-tier lanes and the native lane entry
 (lanes).  Widths past 256 bits must *fall back* with a recorded reason,
 never compute wrong values.
 """
@@ -98,7 +98,7 @@ def test_scalar_tiers_agree_at_width_boundary(width):
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_lane_tiers_agree_at_width_boundary(width):
-    """Lane-packed and native-lane runs of the same streams must both be
+    """Compiled-tier and native-lane runs of the same streams must both be
     bit-identical to per-stream scalar runs."""
     for name, params, widths in _cases(width):
         rng = random.Random(hash((name, params, width, "packed")) & 0xFFFF)
