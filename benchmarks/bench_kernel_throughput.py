@@ -90,7 +90,7 @@ def _measure_point(harness, mode: str, transactions: int, repeats: int):
     simulator = harness._fresh_simulator()
     stream = random_transactions(harness, transactions, seed=7)
     if mode == "native":
-        if not simulator.native_active():
+        if not simulator.prepare()["native"]:
             return None
         total, columns, starts = harness._schedule_columns(
             random_columns(harness, transactions, seed=7))

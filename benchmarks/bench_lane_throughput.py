@@ -121,7 +121,7 @@ def _measure_point(harness, engine: str, lanes: int, transactions: int,
     streams = [random_transactions(harness, transactions, seed=7 + lane)
                for lane in range(lanes)]
     if engine == "native":
-        if not simulator.native_active():
+        if not simulator.prepare()["native"]:
             return None
         schedules = [harness._schedule_columns(
             random_columns(harness, transactions, seed=7 + lane))

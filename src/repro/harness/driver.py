@@ -404,18 +404,18 @@ class CycleAccurateHarness:
         Every stream is pipelined internally exactly as
         :meth:`run_columns` would pipeline it; the streams never interact.
 
-        When the simulator's native lane entry is active the streams'
-        schedules are merged into one lane-major-within-port buffer set and
-        executed in a single C call
+        In ``mode="native"`` the streams' schedules are merged into one
+        lane-major-within-port buffer set and executed in a single C call
         (:meth:`~repro.sim.engine.ScheduledEngine.run_lane_columns`);
-        otherwise they run through
+        when that declines (other modes, or a native fallback) they run
+        through
         :meth:`~repro.sim.engine.ScheduledEngine.run_lanes`, one scalar run
         per stream — trace identical either way.
         """
         simulator = self._fresh_simulator()
         schedules = [self._schedule_columns(stimulus, spacing, extra_cycles)
                      for stimulus in stimuli]
-        if schedules and simulator.native_active():
+        if schedules and simulator.mode == "native":
             n_lanes = len(schedules)
             total = max(lane_total for lane_total, _, _ in schedules)
             merged: Dict[str, Tuple[List[int], bytearray]] = {}

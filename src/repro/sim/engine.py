@@ -49,8 +49,10 @@ semantics never fork (:attr:`ScheduledEngine.kernel_fallback_reason`
 records why).
 
 ``mode="native"`` adds the top tier: the same schedule is emitted as C
-(:mod:`repro.sim.native`), compiled with the host C compiler and driven
-through :mod:`ctypes`.  The chain is native → compiled → scheduled →
+(:mod:`repro.sim.native`), compiled with the host C compiler — at
+``-O0`` first, and at ``-O2`` once the design runs hot, when every entry
+promotes its live kernel before the batch runs — and driven through
+:mod:`ctypes`.  The chain is native → compiled → scheduled →
 fixpoint: a netlist the C tier cannot represent (black boxes, >64-bit
 values) or a host without a compiler falls back to the compiled-Python
 kernel with the reason recorded in
@@ -239,8 +241,9 @@ class ScheduledEngine:
         # native → compiled → scheduled → fixpoint.
         self._native_requested = mode == "native"
         self._native = None
-        self._native_program = None
-        self._native_attempted = False
+        # True once the native tier will not change any more: the kernel
+        # runs at -O2 (or at a pinned level), or the tier fell back.
+        self._native_settled = False
         self._native_used = False
         self._native_from_cache = False
         self._native_build_seconds = 0.0
@@ -439,42 +442,53 @@ class ScheduledEngine:
 
     # -- native C tier (mode="native") -----------------------------------------
 
-    def _ensure_native(self):
-        """The native (C) kernel instance, building it on first use;
-        ``None`` when the native tier was not requested or is unavailable
-        for this netlist/host (the compiled-Python tier then runs,
-        recording :attr:`native_fallback_reason`)."""
-        if not self._native_requested or self._native_attempted:
+    def _ensure_native(self, cycles: Optional[int] = None,
+                       level: Optional[int] = None):
+        """The native (C) kernel instance to run a batch of ``cycles``
+        lane-cycles on; ``None`` when the native tier was not requested or
+        is unavailable for this netlist/host (the compiled-Python tier then
+        runs, recording :attr:`native_fallback_reason`).
+
+        The kernel is built on first use at the level the batch's heat
+        asks for (:func:`repro.sim.native.native_for`); while it runs at
+        ``-O0`` every batch is counted, and the batch that makes the
+        design hot (``cycles=None``, from :meth:`prepare`, always does)
+        promotes the live instance to ``-O2`` before it runs.  ``level``
+        pins the optimisation level instead (tests)."""
+        if not self._native_requested or self._native_settled:
             return self._native
-        self._native_attempted = True
-        if not self.scheduled_everywhere():
+        current = self._native
+        if current is None and not self.scheduled_everywhere():
             reasons = ", ".join(f"{name}: {reason}" for name, reason
                                 in sorted(self.fallback_reasons().items()))
             self.native_fallback_reason = f"interpreter({reasons})"
+            self._native_settled = True
             return None
         from . import native
+        if current is not None and level is None:
+            if not current.program.heats(cycles):
+                return current
+            level = native.HOT_LEVEL
         try:
-            program, cached, seconds = native.native_for(self)
+            program, cached, seconds = native.native_for(self, cycles, level)
+            self._native = (program.instance() if current is None
+                            else current.promoted(program))
         except native.NativeUnavailable as unavailable:
+            self._native_settled = True
+            if current is not None:
+                return current  # the promotion failed: stay at -O0
             self.native_fallback_reason = f"native({unavailable.reason})"
             return None
-        self._native_program = program
         self._native_from_cache = cached
         self._native_build_seconds = seconds
-        self._native = program.instance()
+        self._native_settled = (level is not None
+                                or program.opt_level == native.HOT_LEVEL)
         return self._native
 
     def uses_native(self) -> bool:
         """Whether this engine executes through a native C kernel (only
         meaningful after the first run in ``mode="native"``)."""
         return self._native is not None
-
-    def native_active(self) -> bool:
-        """Whether scalar batches will run on the native C kernel (builds
-        it if needed).  False outside ``mode="native"`` or after a
-        fallback."""
-        return (self._ensure_native() is not None
-                if self._native_requested else False)
 
     def uses_native_lanes(self) -> bool:
         """Whether the most recent :meth:`run_lanes` /
@@ -494,7 +508,7 @@ class ScheduledEngine:
         discarded afterwards — like :meth:`run_lanes`, each lane behaves
         as a freshly reset engine and the instance's own scalar state is
         untouched."""
-        native = self._ensure_native() if self._native_requested else None
+        native = self._ensure_native(cycles * n_lanes)
         if native is None:
             if self._native_requested:
                 self._native_lanes_used = False
@@ -517,7 +531,7 @@ class ScheduledEngine:
         ``cycles`` (missing ports idle at X); returns per-output-port
         ``(values, xflags)`` columns, or ``None`` when the native tier is
         not running (callers then fall back to :meth:`run_batch`)."""
-        native = self._ensure_native() if self._native_requested else None
+        native = self._ensure_native(cycles)
         if native is None:
             return None
         unknown = set(columns) - self._input_set
@@ -549,7 +563,7 @@ class ScheduledEngine:
         engine internals.  The lane entry is emitted into the same
         translation unit as the scalar one, so ``native_lanes`` mirrors
         ``native`` with zero marginal build time."""
-        native = self._ensure_native() if self._native_requested else None
+        native = self._ensure_native()
         if native is None:
             self._ensure_kernel()
         return {
@@ -598,7 +612,7 @@ class ScheduledEngine:
                     ) -> List[Dict[str, Value]]:
         """:meth:`run_batch` after input-name validation."""
         if self._native_requested:
-            native = self._ensure_native()
+            native = self._ensure_native(len(stimuli))
             if native is not None:
                 self._native_used = True
                 trace = native.run_batch(stimuli)
@@ -645,7 +659,8 @@ class ScheduledEngine:
                 f"{sorted(unknown)[0]!r}"
             )
         if self._native_requested:
-            native = self._ensure_native()
+            native = self._ensure_native(
+                len(batches) * max(len(batch) for batch in batches))
             if native is not None:
                 self._native_used = True
                 self._native_lanes_used = True
@@ -714,7 +729,7 @@ class ScheduledEngine:
 
     def _step_unchecked(self, inputs: Dict[str, Value]) -> Dict[str, Value]:
         if self._native_requested:
-            native = self._ensure_native()
+            native = self._ensure_native(1)
             if native is not None:
                 self._native_used = True
                 outputs = native.cycle(inputs)

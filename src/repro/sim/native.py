@@ -8,20 +8,33 @@ expressions the scalar Python templates inline, driver groups become
 if/else chains with exact conflict detection, and sequential state lives in
 one flat struct per component with ``settle``/``tick``/``reset`` entry
 points.  The generated translation unit is compiled once per netlist digest
-with the host C compiler (``cc``/``gcc``/``clang``; override with
-``REPRO_CC``), loaded through :mod:`ctypes`, and cached twice:
+and optimisation level with the host C compiler (``cc``/``gcc``/``clang``;
+override with ``REPRO_CC``), loaded through :mod:`ctypes`, and cached
+twice:
 
 * an on-disk tier in the crash-safe :class:`~repro.core.store.ArtifactStore`
-  (namespace ``native``), keyed by the same netlist digest the Python
-  kernel LRU uses, so a recompile across processes is a verified file
-  load.  ``REPRO_STORE_DIR`` shares one store with the compile/kernel
-  caches; ``REPRO_NATIVE_CACHE_DIR`` overrides the root for this tier
-  alone; the default is a private per-uid directory under the temp dir.
-  If publishing to the store fails (disk full, injected fault), the
-  freshly built ``.so`` still runs out of its private build directory —
-  a degradation, never a failure; and
+  (namespace ``native``), keyed by the level and the same netlist digest
+  the Python kernel LRU uses, so a recompile across processes is a
+  verified file load.  ``REPRO_STORE_DIR`` shares one store with the
+  compile/kernel caches; ``REPRO_NATIVE_CACHE_DIR`` overrides the root for
+  this tier alone; the default is a private per-uid directory under the
+  temp dir.  If publishing to the store fails (disk full, injected fault),
+  the freshly built ``.so`` still runs out of its private build directory
+  — a degradation, never a failure; and
 * a process-wide bounded LRU of loaded programs next to the kernel LRU
-  (sharing its ``REPRO_KERNEL_CACHE`` size knob).
+  (sharing its ``REPRO_KERNEL_CACHE`` size knob), keyed by
+  ``(digest, level)``.  A collected program unmaps its shared object.
+
+The optimisation level is a tiering decision, as in a JIT.  A design
+starts at ``-O0``, which compiles ~5x faster, and is promoted to ``-O2``
+once it runs hot: when the lane-cycles run on its digest in this process,
+counting the batch about to run, reach :data:`HOT_CYCLES`.  An explicit
+``prepare()`` counts as hot.  A short request reuses an ``-O2`` program
+that is already loaded or stored; a hot request never runs ``-O0``.
+Promotion (:meth:`NativeKernel.promoted`) copies the live instance's
+state buffer and cycle counter into an ``-O2`` instance of the same
+translation unit, so traces, X planes and conflict messages are the same
+at either level and across a promotion.
 
 Two execution shapes share one translation unit:
 
@@ -72,12 +85,14 @@ Exactness notes:
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import os
 import shutil
 import subprocess
 import tempfile
 import time
+import weakref
 from array import array
 from collections import OrderedDict
 from pathlib import Path
@@ -112,6 +127,34 @@ __all__ = [
 
 #: Bump when the generated C ABI changes (invalidates the on-disk cache).
 _ABI = 3
+
+#: Optimisation levels: every design starts cold and is promoted once hot.
+COLD_LEVEL = 0
+HOT_LEVEL = 2
+
+#: Lane-cycles on one netlist digest (in this process, counting the batch
+#: about to run) at which its kernel is built, or promoted, at ``-O2``.
+#:
+#: Measured on a 1-CPU share, gcc 12.2, Python 3.11:
+#:
+#: ======================================================  =======  =======
+#: What                                                    ``-O0``  ``-O2``
+#: ======================================================  =======  =======
+#: cc time, 8 conformance kernels (266–1008 lines), total  0.79 s   3.79 s
+#: Conv2d build                                            0.19 s   1.34 s
+#: Conv2d, engine-level cost                               386 ns/  172 ns/
+#:                                                         cycle    cycle
+#: AddMult, engine-level cost                              128 ns/  112 ns/
+#:                                                         cycle    cycle
+#: ======================================================  =======  =======
+#:
+#: Break-even is several million cycles per design (Conv2d: 1.15 s of
+#: extra cc against 214 ns saved per cycle).  1024 is the conservative
+#: end: a one-shot check (a conformance program runs at most a few
+#: hundred lane-cycles) stays at ``-O0``, while any harness, fuzz or
+#: benchmark batch of real length builds ``-O2`` straight away, so warm
+#: throughput runs exactly the ``-O2`` code it always did.
+HOT_CYCLES = 1024
 
 _M64 = (1 << 64) - 1
 
@@ -1488,7 +1531,10 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
     entry.emit()
     entry.emit(f"void k_reset(void* p) {{ reset_c{tid}((S{tid}*)p); }}")
     entry.emit()
+    # Empty lane batches return early: the lane conflict screen sizes
+    # variable-length arrays by ``nl``, and a zero-length VLA is undefined.
     entry.emit("void k_reset_lanes(void* p, int64_t nl) {")
+    entry.emit("    if (nl <= 0) return;")
     entry.emit("    for (int64_t l = 0; l < nl; l++)")
     entry.emit(f"        reset_c{tid}((S{tid}*)((char*)p + "
                f"l * (int64_t)sizeof(S{tid})));")
@@ -1551,6 +1597,7 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
                "const uint64_t* iv, const uint8_t* ix, uint64_t* ov, "
                "uint8_t* ox, int64_t* eplan, int64_t* elane) {")
     entry.indent += 1
+    entry.emit("if (nl <= 0) return -1;")
     entry.emit("char* base = (char*)p;")
     entry.emit(f"int64_t stride = (int64_t)sizeof(S{tid});")
     entry.emit("for (int64_t i = 0; i < ncy; i++) {")
@@ -1610,12 +1657,16 @@ def generate_c_source(engine) -> Tuple[str, _KernelLayout, _PlanRegistry]:
 
 
 class NativeKernelProgram:
-    """One compiled-and-loaded shared object for a netlist digest."""
+    """One compiled-and-loaded shared object for a netlist digest at one
+    optimisation level."""
 
-    def __init__(self, digest: str, lib, source_path: Path,
+    def __init__(self, digest: str, opt_level: int, lib, source_path: Path,
                  layout: _KernelLayout, plans: _PlanRegistry,
                  disk_hit: bool) -> None:
         self.digest = digest
+        self.opt_level = opt_level
+        #: Lane-cycles requested on this digest while it ran cold.
+        self.cycles_run = 0
         self.lib = lib
         self.source_path = source_path
         self.slot_map = layout.slot_map
@@ -1631,6 +1682,15 @@ class NativeKernelProgram:
 
     def instance(self) -> "NativeKernel":
         return NativeKernel(self)
+
+    def heats(self, cycles: Optional[int]) -> bool:
+        """Count a batch of ``cycles`` lane-cycles about to run on this
+        (cold) program's digest; whether the digest is now hot.  ``None``
+        — an explicit ``prepare()`` — is always hot."""
+        if cycles is None:
+            return True
+        self.cycles_run += cycles
+        return self.cycles_run >= HOT_CYCLES
 
 
 def _declare(lib) -> None:
@@ -1684,6 +1744,25 @@ class NativeKernel:
     def reset(self) -> None:
         self._lib.k_reset(self._ptr)
         self._n = 0
+
+    @property
+    def program(self) -> NativeKernelProgram:
+        return self._program
+
+    def promoted(self, program: NativeKernelProgram) -> "NativeKernel":
+        """An instance of ``program`` — the same translation unit at
+        another optimisation level, hence the same state layout — that
+        continues exactly where this one stands: its state buffer and its
+        cycle counter are copied."""
+        if program.state_bytes != self._program.state_bytes:
+            raise NativeUnavailable(
+                f"promotion of {self._program.digest[:12]} changed the "
+                f"state layout")
+        kernel = NativeKernel(program)
+        ctypes.memmove(kernel._state, self._state, program.state_bytes)
+        kernel._n = self._n
+        _STATS["promotions"] += 1
+        return kernel
 
     def peek(self, key: _Key) -> Value:
         meta = self._program.slot_meta.get(key)
@@ -1920,33 +1999,35 @@ class NativeKernel:
 # Digest-keyed caches
 # ---------------------------------------------------------------------------
 
-_CACHE: "OrderedDict[str, NativeKernelProgram]" = OrderedDict()
-_STATS = {"hits": 0, "misses": 0, "disk_hits": 0}
+_CACHE: "OrderedDict[Tuple[str, int], NativeKernelProgram]" = OrderedDict()
+_STATS = {"hits": 0, "misses": 0, "disk_hits": 0, "promotions": 0}
 
 
 def native_cache_stats() -> Dict[str, int]:
-    """Process-wide native program cache counters."""
+    """Process-wide native program cache counters: LRU ``hits``, loads
+    (``misses``, of which ``disk_hits`` came from the store) and live
+    instances ``promotions`` from ``-O0`` to ``-O2``."""
     return dict(_STATS)
 
 
 def clear_native_cache() -> None:
     """Drop every loaded native program (tests and benchmarks), the
     compiler-probe memo (so a changed ``REPRO_CC``/``PATH`` is re-probed)
-    and the store memo (so a changed cache root is re-resolved).  The
-    on-disk ``.so`` store is left alone — it is the point."""
+    and the store memo (so a changed cache root is re-resolved).  A
+    dropped program unmaps its shared object once no live instance holds
+    it.  The on-disk ``.so`` store is left alone — it is the point."""
     _CACHE.clear()
     _COMPILER_CACHE.clear()
     _STORE_MEMO.clear()
-    _STATS["hits"] = 0
-    _STATS["misses"] = 0
-    _STATS["disk_hits"] = 0
+    for name in _STATS:
+        _STATS[name] = 0
 
 
 def _compile_so(source: str, c_path: Path, so_path: Path,
-                compiler: str) -> None:
+                compiler: str, level: int) -> None:
     c_path.write_text(source)
     tmp = so_path.with_name(f"{so_path.stem}.{os.getpid()}.tmp.so")
-    command = [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp),
+    command = [compiler, f"-O{level}", "-shared", "-fPIC", "-o", str(tmp),
                str(c_path)]
     try:
         _faults.cc_hang()  # injected compiler hang == the timeout below
@@ -1961,36 +2042,61 @@ def _compile_so(source: str, c_path: Path, so_path: Path,
     os.replace(tmp, so_path)
 
 
-def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
+def _store_key(digest: str, level: int) -> str:
+    return f"native_{_ABI}_O{level}_{digest[:32]}"
+
+
+def native_for(engine, cycles: Optional[int] = None,
+               level: Optional[int] = None
+               ) -> Tuple[NativeKernelProgram, bool, float]:
     """The native kernel program for ``engine``'s netlist: ``(program,
     cached, build_seconds)``.  ``cached`` is true for both in-memory LRU
-    hits and on-disk store hits.  Raises :class:`NativeUnavailable` when
-    the netlist is native-ineligible or no C compiler is available."""
+    hits and on-disk store hits.
+
+    ``cycles`` is the lane-cycle count of the batch about to run
+    (``None``, an explicit ``prepare()``, is hot).  A hot request gets
+    ``-O2``; a short one reuses an ``-O2`` program that is already loaded
+    or stored, and otherwise gets ``-O0``.  ``level`` pins the level
+    exactly instead (promotion, tests).  Raises :class:`NativeUnavailable`
+    when the netlist is native-ineligible or no C compiler is available."""
     digest = netlist_digest(engine)
-    cached = _CACHE.get(digest)
-    if cached is not None:
-        _CACHE.move_to_end(digest)
-        _STATS["hits"] += 1
-        return cached, True, 0.0
+    if level is None:
+        cold = _CACHE.get((digest, COLD_LEVEL))
+        hot = (cold.heats(cycles) if cold is not None
+               else cycles is None or cycles >= HOT_CYCLES)
+        level = HOT_LEVEL if hot else COLD_LEVEL
+        usable = (HOT_LEVEL,) if hot else (HOT_LEVEL, COLD_LEVEL)
+    else:
+        usable = (level,)
+    for opt in usable:
+        cached = _CACHE.get((digest, opt))
+        if cached is not None:
+            _CACHE.move_to_end((digest, opt))
+            _STATS["hits"] += 1
+            return cached, True, 0.0
     compiler = find_compiler()
     if compiler is None:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
     start = time.perf_counter()
     source, layout, plans = generate_c_source(engine)
     store = _native_store()
-    key = f"native_{_ABI}_{digest[:32]}"
-    so_path = store.get_path("native", key)
+    for opt in usable:
+        so_path = store.get_path("native", _store_key(digest, opt))
+        if so_path is not None:
+            level = opt
+            break
     disk_hit = so_path is not None
     if not disk_hit:
         # Build in a private scratch directory, then publish atomically
         # into the store.  A failed publish (disk full, injected fault)
         # degrades to running the .so out of the scratch directory: this
         # process still gets its kernel, nothing corrupt persists.
+        key = _store_key(digest, level)
         build_dir = Path(tempfile.mkdtemp(prefix="repro-native-build-"))
         scratch_so = build_dir / f"{key}.so"
         try:
             _compile_so(source, build_dir / f"{key}.c", scratch_so,
-                        compiler)
+                        compiler, level)
         except NativeUnavailable:
             shutil.rmtree(build_dir, ignore_errors=True)
             raise
@@ -2007,10 +2113,19 @@ def native_for(engine) -> Tuple[NativeKernelProgram, bool, float]:
     except OSError as error:
         raise NativeUnavailable(f"failed to load native kernel: {error}")
     _declare(lib)
-    program = NativeKernelProgram(digest, lib, so_path, layout, plans,
+    program = NativeKernelProgram(digest, level, lib, so_path, layout, plans,
                                   disk_hit)
+    # Neither LRU eviction nor a cleared cache may unmap a kernel a live
+    # instance still runs; the program's collection may.
+    if hasattr(_ctypes, "dlclose"):
+        weakref.finalize(program, _ctypes.dlclose,
+                         lib._handle).atexit = False
     seconds = time.perf_counter() - start
-    _CACHE[digest] = program
+    if level == COLD_LEVEL:
+        program.cycles_run = cycles or 0
+    else:
+        _CACHE.pop((digest, COLD_LEVEL), None)  # superseded
+    _CACHE[(digest, level)] = program
     limit = codegen.kernel_cache_limit()
     while len(_CACHE) > limit:
         _CACHE.popitem(last=False)
